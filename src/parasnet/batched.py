@@ -1,17 +1,26 @@
 """Batched layer kernels used by the training and evaluation hot paths.
 
 Inputs carry a leading batch axis: feature maps are (batch, h, w, c),
-vectors are (batch, n). The convolution lowers each batch to one matrix
-multiply (window extraction, then GEMM), which is what makes desk-scale
-training runs take minutes instead of hours. Agreement with the
-single-image kernels in ops.py is enforced by tests.
+vectors are (batch, n). Agreement with the single-image kernels in
+ops.py is enforced by tests.
 
-The large intermediates (window matrices, pre-activations) live in a
-module-level scratch pool and are reused across calls, because repeated
-fresh allocations of 50-100MB arrays dominate the runtime otherwise.
-The contract: an array handed out for one geometry stays valid until
-the next call with the same geometry, which holds for the forward /
-backward / next-batch cadence of training and for plain inference.
+Training (conv_forward with want_cols) lowers each batch to one matrix
+multiply: window extraction (im2col), then GEMM. conv_backward needs
+that window matrix for the kernel gradient. The window matrices and
+pre-activations of this path live in a module-level scratch pool and
+are reused across calls, because repeated fresh allocations of
+50-100MB arrays dominate the runtime otherwise. An array handed out for
+one geometry stays valid until the next call with the same geometry,
+which holds for the forward / backward / next-batch cadence of training.
+The pool is process-global, so the training path is unsafe to run from
+more than one thread at a time.
+
+Inference (conv_forward without want_cols, maxpool_infer) never builds
+the 9*C-wide window matrix and never touches the pool: it convolves by
+accumulating the nine kernel taps, and its outputs are allocated fresh.
+At one image per call those outputs are small enough that allocating
+them costs less than the memory traffic of a window matrix, and callers
+in different threads share no buffers.
 """
 
 from __future__ import annotations
@@ -55,17 +64,34 @@ def conv_forward(
 
     Returns the (batch, h-2, w-2, filters) output, plus the flattened
     window matrix when want_cols is set (the backward pass reuses it).
+    Without want_cols the output is freshly allocated; with it, both
+    arrays are scratch buffers.
     """
     b, h, w, c_in = x.shape
     h_out, w_out = h - 2, w - 2
     n_filters = kernels.shape[3]
-    cols = _im2col(x, h_out, w_out)
-    out = _buf("conv_out", (b * h_out * w_out, n_filters), x.dtype)
-    np.matmul(cols, kernels.reshape(9 * c_in, n_filters), out=out)
-    out += bias
-    out = out.reshape(b, h_out, w_out, n_filters)
     if want_cols:
-        return out, cols
+        cols = _im2col(x, h_out, w_out)
+        out = _buf("conv_out", (b * h_out * w_out, n_filters), x.dtype)
+        np.matmul(cols, kernels.reshape(9 * c_in, n_filters), out=out)
+        out += bias
+        return out.reshape(b, h_out, w_out, n_filters), cols
+    if c_in == 1:
+        # one input channel: nine K=1 products would be bound by copying,
+        # so gather a nine-row tap-major window matrix for one K=9 GEMM
+        taps = np.empty((9, b, h_out, w_out), x.dtype)
+        for ki in range(3):
+            for kj in range(3):
+                taps[ki * 3 + kj] = x[:, ki:ki + h_out, kj:kj + w_out, 0]
+        out = taps.reshape(9, -1).T @ kernels.reshape(9, n_filters)
+        out += bias
+        return out.reshape(b, h_out, w_out, n_filters)
+    out = x[:, :h_out, :w_out, :] @ kernels[0, 0]
+    for ki in range(3):
+        for kj in range(3):
+            if ki or kj:
+                out += x[:, ki:ki + h_out, kj:kj + w_out, :] @ kernels[ki, kj]
+    out += bias
     return out
 
 
@@ -110,10 +136,12 @@ def _pool_cells(x: np.ndarray):
 
 
 def maxpool_infer(x: np.ndarray) -> np.ndarray:
-    """2x2/stride-2 max pooling without bookkeeping for a backward pass."""
+    """2x2/stride-2 max pooling without bookkeeping for a backward pass.
+
+    The output is freshly allocated.
+    """
     a, b_, c_, d = _pool_cells(x)
-    out = _buf("pool_out", a.shape, x.dtype)
-    np.maximum(a, b_, out=out)
+    out = np.maximum(a, b_)
     np.maximum(out, c_, out=out)
     np.maximum(out, d, out=out)
     return out

@@ -230,9 +230,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
     net = pm.load_checkpoint(args.ckpt)
     images, labels = _read_split(pgmio, args.data, args.split)
-    matrix = evaluation.evaluate(
-        evaluation.CnnClassifier(net, batch_size=4), images, labels
-    )
+    matrix = evaluation.evaluate(evaluation.CnnClassifier(net), images, labels)
     _ensure_parent(args.out)
     matrix.to_csv(args.out)
     print(matrix)
@@ -317,13 +315,19 @@ def _cmd_baseline_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_baseline_eval(args: argparse.Namespace) -> int:
-    from . import evaluation, pgmio
+def _load_baseline(path: str):
+    """A saved baseline, classifying with the gap it was trained with."""
     from .baseline import classify
 
-    model = classify.load_baseline(args.model)
+    model = classify.load_baseline(path)
     gap = float(model.meta.get("gap_threshold", 0.2))
-    clf = classify.SiftBowClassifier(model, gap_threshold=gap)
+    return classify.SiftBowClassifier(model, gap_threshold=gap)
+
+
+def _cmd_baseline_eval(args: argparse.Namespace) -> int:
+    from . import evaluation, pgmio
+
+    clf = _load_baseline(args.model)
     images, labels = _read_split(pgmio, args.data, args.split)
     matrix = evaluation.evaluate(clf, images, labels)
     _ensure_parent(args.out)
@@ -337,7 +341,6 @@ def _cmd_baseline_eval(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     from . import evaluation, pgmio
     from . import model as pm
-    from .baseline import classify
 
     net = pm.load_checkpoint(args.ckpt)
     images, _ = _read_split(pgmio, args.data, args.split)
@@ -349,8 +352,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         ))
     ]
     if args.baseline is not None:
-        model = classify.load_baseline(args.baseline)
-        clf = classify.SiftBowClassifier(model)
+        clf = _load_baseline(args.baseline)
         rows.append(("baseline", evaluation.benchmark(
             clf.predict_one, images, warmup=args.warmup, iters=args.iters
         )))

@@ -79,7 +79,7 @@ class ConfusionMatrix:
 class CnnClassifier:
     """predict_batch adapter around a trained model."""
 
-    def __init__(self, model: pm.ParasNetModel, batch_size: int = 32):
+    def __init__(self, model: pm.ParasNetModel, batch_size: int = 1):
         self.model = model
         self.batch_size = batch_size
 
@@ -96,17 +96,9 @@ def evaluate(classifier, images: np.ndarray, labels: np.ndarray) -> ConfusionMat
     return ConfusionMatrix.from_predictions(labels, predicted)
 
 
-def hidden_features(
-    model: pm.ParasNetModel, images: np.ndarray, batch_size: int = 4
-) -> np.ndarray:
+def hidden_features(model: pm.ParasNetModel, images: np.ndarray) -> np.ndarray:
     """Last-hidden-layer activations (N, 128) in inference mode."""
-    chunks = []
-    for start in range(0, len(images), batch_size):
-        _, hidden = pm.forward_batch(model, images[start : start + batch_size])
-        chunks.append(hidden)
-    if not chunks:
-        return np.zeros((0, pm.HIDDEN_UNITS))
-    return np.concatenate(chunks)
+    return pm.forward_images(model, images)[1]
 
 
 @dataclass

@@ -8,6 +8,7 @@ The number of filters per conv layer is the single width knob.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -111,6 +112,38 @@ def flatten_dim(filters: int, height: int = INPUT_HEIGHT, width: int = INPUT_WID
     return h * w * f
 
 
+def parameter_shapes(
+    filters: int, height: int = INPUT_HEIGHT, width: int = INPUT_WIDTH
+) -> list[tuple[int, ...]]:
+    """Shape of each parameters() array, in checkpoint order."""
+    shapes: list[tuple[int, ...]] = []
+    c_in = 1
+    for _ in range(5):
+        shapes += [(3, 3, c_in, filters), (filters,)]
+        c_in = filters
+    flat = flatten_dim(filters, height, width)
+    return shapes + [
+        (flat, HIDDEN_UNITS), (HIDDEN_UNITS,), (HIDDEN_UNITS, NUM_CLASSES), (NUM_CLASSES,)
+    ]
+
+
+def _from_parameters(
+    filters: int, arrays: list[np.ndarray], init_seed: int, meta: dict[str, str]
+) -> ParasNetModel:
+    """The inverse of parameters()."""
+    return ParasNetModel(
+        filters=filters,
+        conv_kernels=arrays[0:10:2],
+        conv_biases=arrays[1:10:2],
+        dense1_weights=arrays[10],
+        dense1_bias=arrays[11],
+        dense2_weights=arrays[12],
+        dense2_bias=arrays[13],
+        init_seed=init_seed,
+        meta=meta,
+    )
+
+
 def build_model(
     filters: int,
     seed: int,
@@ -124,31 +157,16 @@ def build_model(
     the full parameter vector regardless of dtype.
     """
     rng = np.random.default_rng(seed)
-    kernels = []
-    biases = []
-    c_in = 1
-    for _ in range(5):
-        bound = glorot_bound(9 * c_in, 9 * filters)
-        kernels.append(
-            rng.uniform(-bound, bound, size=(3, 3, c_in, filters)).astype(dtype)
-        )
-        biases.append(np.zeros(filters, dtype=dtype))
-        c_in = filters
-    flat = flatten_dim(filters, height, width)
-    bound = glorot_bound(flat, HIDDEN_UNITS)
-    dense1_w = rng.uniform(-bound, bound, size=(flat, HIDDEN_UNITS)).astype(dtype)
-    bound = glorot_bound(HIDDEN_UNITS, NUM_CLASSES)
-    dense2_w = rng.uniform(-bound, bound, size=(HIDDEN_UNITS, NUM_CLASSES)).astype(dtype)
-    return ParasNetModel(
-        filters=filters,
-        conv_kernels=kernels,
-        conv_biases=biases,
-        dense1_weights=dense1_w,
-        dense1_bias=np.zeros(HIDDEN_UNITS, dtype=dtype),
-        dense2_weights=dense2_w,
-        dense2_bias=np.zeros(NUM_CLASSES, dtype=dtype),
-        init_seed=seed,
-    )
+    arrays = []
+    for shape in parameter_shapes(filters, height, width):
+        if len(shape) == 1:
+            arrays.append(np.zeros(shape, dtype=dtype))
+            continue
+        # a conv kernel's fans span its 3x3 window
+        fan_in, fan_out = (9 * shape[2], 9 * shape[3]) if len(shape) == 4 else shape
+        bound = glorot_bound(fan_in, fan_out)
+        arrays.append(rng.uniform(-bound, bound, size=shape).astype(dtype))
+    return _from_parameters(filters, arrays, seed, {})
 
 
 def parameters(model: ParasNetModel) -> list[np.ndarray]:
@@ -198,7 +216,9 @@ def forward_batch(
 
     Returns (probs, hidden) where probs is (B, 3) and hidden is the
     (B, 128) post-ReLU representation. With want_cache=True a third
-    element carries intermediates for backward_batch.
+    element carries intermediates for backward_batch; those live in
+    batched's scratch pool, so such calls must not run in two threads at
+    once. Calls without want_cache share no buffers.
     """
     if x.ndim != 4 or x.shape[3] != 1:
         raise ValueError(f"expected input of shape (B, h, w, 1), got {x.shape}")
@@ -220,9 +240,10 @@ def forward_batch(
             conv_pre.append(a)
             winners.append(winner)
         else:
-            a = batched.conv_forward(h, k, b)
-            r = np.maximum(a, 0, out=a)
-            h = batched.maxpool_infer(r)
+            # pool, then ReLU on the 4x smaller map: ReLU is monotone,
+            # so both orders give exactly the same values
+            h = batched.maxpool_infer(batched.conv_forward(h, k, b))
+            np.maximum(h, 0, out=h)
     flat = h.reshape(h.shape[0], -1)
     if flat.shape[1] != model.dense1_weights.shape[0]:
         raise ValueError(
@@ -293,6 +314,27 @@ def backward_batch(
     return grads
 
 
+def forward_images(
+    model: ParasNetModel, images: np.ndarray, batch_size: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """Inference-mode (probs, hidden) for a stack of images, batch_size
+    images per forward_batch call.
+
+    One image per call is the default because it is the fastest: the
+    inference kernels' cost per image grows with the batch.
+    """
+    chunks = [
+        forward_batch(model, images[start : start + batch_size])
+        for start in range(0, len(images), batch_size)
+    ]
+    if not chunks:
+        return np.zeros((0, NUM_CLASSES)), np.zeros((0, HIDDEN_UNITS))
+    return (
+        np.concatenate([probs for probs, _ in chunks]),
+        np.concatenate([hidden for _, hidden in chunks]),
+    )
+
+
 def forward(
     model: ParasNetModel,
     image: np.ndarray,
@@ -359,35 +401,37 @@ def load_checkpoint(path: str) -> ParasNetModel:
     if filters < 1 or filters > 65536:
         raise CheckpointError(f"implausible filter count {filters}")
 
-    template = build_model(filters, seed=0)
+    shapes = parameter_shapes(filters)
+    # the header alone fixes the parameter byte count: check it against
+    # the file before allocating, since a doctored header can declare
+    # hundreds of GB
+    raw, offset = _take(
+        blob, offset, 4 * sum(math.prod(s) for s in shapes), "parameter tensors"
+    )
     arrays = []
-    for p in parameters(template):
-        raw, offset = _take(blob, offset, 4 * p.size, f"tensor of shape {p.shape}")
-        arrays.append(np.frombuffer(raw, dtype="<f4").reshape(p.shape).copy())
+    start = 0
+    for shape in shapes:
+        size = math.prod(shape)
+        arrays.append(np.frombuffer(raw, "<f4", size, start).reshape(shape).copy())
+        start += 4 * size
     raw_len, offset = _take(blob, offset, 4, "metadata length")
     (meta_len,) = struct.unpack("<I", raw_len)
     raw_meta, offset = _take(blob, offset, meta_len, "metadata")
     if offset != len(blob):
         raise CheckpointError(f"{len(blob) - offset} trailing bytes after metadata")
 
+    try:
+        text = raw_meta.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise CheckpointError(f"metadata is not UTF-8: {err}") from None
     meta: dict[str, str] = {}
-    text = raw_meta.decode("utf-8")
     for line in text.splitlines():
         if line:
             key, _, value = line.partition("=")
             meta[key] = value
-    seed = int(meta.pop("seed", "-1"))
-
-    kernels = [arrays[2 * i] for i in range(5)]
-    biases = [arrays[2 * i + 1] for i in range(5)]
-    return ParasNetModel(
-        filters=filters,
-        conv_kernels=kernels,
-        conv_biases=biases,
-        dense1_weights=arrays[10],
-        dense1_bias=arrays[11],
-        dense2_weights=arrays[12],
-        dense2_bias=arrays[13],
-        init_seed=seed,
-        meta=meta,
-    )
+    seed_text = meta.pop("seed", "-1")
+    try:
+        seed = int(seed_text)
+    except ValueError:
+        raise CheckpointError(f"seed {seed_text!r} is not an integer") from None
+    return _from_parameters(filters, arrays, seed, meta)

@@ -182,7 +182,6 @@ class TrainConfig:
     dropout_rate: float = 0.5
     seed: int = 0
     augment: AugmentConfig | None = field(default_factory=AugmentConfig)
-    eval_batch_size: int = 4
 
 
 @dataclass
@@ -222,16 +221,11 @@ class TrainReport:
 
 
 def predict_labels(
-    model: pm.ParasNetModel, images: np.ndarray, batch_size: int = 32
+    model: pm.ParasNetModel, images: np.ndarray, batch_size: int = 1
 ) -> np.ndarray:
     """Hard class labels for a stack of images, in inference mode."""
-    chunks = []
-    for start in range(0, len(images), batch_size):
-        probs, _ = pm.forward_batch(model, images[start : start + batch_size])
-        chunks.append(np.argmax(probs, axis=1))
-    if not chunks:
-        return np.zeros(0, dtype=np.int64)
-    return np.concatenate(chunks)
+    probs, _ = pm.forward_images(model, images, batch_size)
+    return np.argmax(probs, axis=1)
 
 
 def _count_confusion(actual: np.ndarray, predicted: np.ndarray) -> np.ndarray:
@@ -300,7 +294,7 @@ def fit(
                 decay=config.lr_decay,
             )
             loss_sum += loss * len(batch)
-        preds = predict_labels(model, test_images, config.eval_batch_size)
+        preds = predict_labels(model, test_images)
         accuracy = float(np.mean(preds == test_labels)) if len(test_labels) else 0.0
         stats = EpochStats(
             epoch=epoch,
@@ -312,5 +306,5 @@ def fit(
         if log is not None:
             log(stats)
 
-    preds = predict_labels(model, test_images, config.eval_batch_size)
+    preds = predict_labels(model, test_images)
     return TrainReport(history=history, confusion=_count_confusion(test_labels, preds))

@@ -3,6 +3,7 @@
 import numpy as np
 
 from parasnet import batched, ops
+from parasnet import model
 
 from fd import central_diff_grad, rel_error
 
@@ -74,6 +75,44 @@ def test_maxpool_matches_single_image_kernel():
             np.testing.assert_array_equal(pooled[i], ops.maxpool_2x2(x[i]))
             g = ops.maxpool_2x2_backward(x[i], upstream[i])
             np.testing.assert_array_equal(d_input[i], g.d_input)
+
+
+def test_maxpool_infer_matches_single_image_kernel():
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        b = int(rng.integers(1, 4))
+        h = int(rng.integers(2, 12))
+        w = int(rng.integers(2, 12))
+        c = int(rng.integers(1, 4))
+        # few distinct values, so most windows hold ties
+        x = rng.integers(-2, 3, size=(b, h, w, c)).astype(np.float32)
+        pooled = batched.maxpool_infer(x)
+        for i in range(b):
+            np.testing.assert_array_equal(pooled[i], ops.maxpool_2x2(x[i]))
+
+
+def test_pool_then_relu_equals_relu_then_pool_bit_for_bit():
+    rng = np.random.default_rng(8)
+    for shape in ((1, 9, 7, 3), (2, 12, 13, 8), (3, 5, 5, 1)):
+        x = rng.standard_normal(shape).astype(np.float32)
+        x[..., 0] = rng.integers(-1, 2, size=shape[:3])  # ties at and around zero
+        pool_first = np.maximum(batched.maxpool_infer(x), 0)
+        relu_first = batched.maxpool_infer(np.maximum(x, 0))
+        assert pool_first.tobytes() == relu_first.tobytes()
+
+
+def test_inference_conv_agrees_with_training_conv_at_network_shapes():
+    rng = np.random.default_rng(9)
+    net = model.build_model(8, seed=9)
+    shapes = model.layer_shapes(8)
+    inputs = [(model.INPUT_HEIGHT, model.INPUT_WIDTH, 1)] + shapes[1:9:2]
+    for x_shape, k, bias in zip(inputs, net.conv_kernels, net.conv_biases):
+        for b in (1, 2):
+            x = rng.random((b, *x_shape), dtype=np.float32)
+            fresh = batched.conv_forward(x, k, bias)
+            trained, _ = batched.conv_forward(x, k, bias, want_cols=True)
+            assert fresh.dtype == np.float32
+            np.testing.assert_allclose(fresh, trained, rtol=1e-5, atol=1e-6)
 
 
 def test_dense_gradients_match_finite_differences():

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from parasnet import cli
+from parasnet import cli, evaluation
 from parasnet.model import expected_param_count, load_checkpoint, param_count
 
 
@@ -201,6 +201,32 @@ class TestBaselineCommands:
         ])
         assert code == 0
         assert os.path.exists(out)
+
+
+    def test_bench_classifies_with_the_trained_gap(
+        self, dataset, ckpt, tmp_path, monkeypatch
+    ):
+        model = str(tmp_path / "b.pbas")
+        code = cli.main([
+            "baseline-train", "--data", dataset, "--vocab", "8",
+            "--svm-epochs", "5", "--gap", "0.35", "--out", model,
+        ])
+        assert code == 0
+        gaps = []
+        timed = evaluation.benchmark
+
+        def spy(predict_one, *args, **kwargs):
+            gaps.append(getattr(predict_one.__self__, "gap_threshold", None))
+            return timed(predict_one, *args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "benchmark", spy)
+        code = cli.main([
+            "bench", "--ckpt", ckpt, "--data", dataset, "--baseline", model,
+            "--out", str(tmp_path / "b.csv"),
+            "--images", "2", "--iters", "10", "--warmup", "1",
+        ])
+        assert code == 0
+        assert gaps == [None, 0.35]
 
 
 class TestUsageErrors:

@@ -1,5 +1,9 @@
 """Architecture shape and parameter-count pins, init statistics, checkpoints."""
 
+import struct
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -132,6 +136,34 @@ class TestForward:
         with pytest.raises(ValueError, match="shape"):
             pm.forward(m, np.zeros((244, 324)))
 
+    def test_concurrent_single_image_calls_match_serial_results(self):
+        m = pm.build_model(8, seed=2)
+        rng = np.random.default_rng(2)
+        images = rng.random((2, 1, 244, 324, 1), dtype=np.float32)
+        expected = [pm.forward_batch(m, x) for x in images]
+        results: list[list] = [[], []]
+
+        def worker(i):
+            for _ in range(40):
+                results[i].append(pm.forward_batch(m, images[i]))
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for i in range(2):
+            assert len(results[i]) == 40
+            for probs, hidden in results[i]:
+                np.testing.assert_array_equal(probs, expected[i][0])
+                np.testing.assert_array_equal(hidden, expected[i][1])
+
 
 class TestBackward:
     def test_gradients_match_finite_differences(self):
@@ -243,6 +275,26 @@ class TestCheckpoint:
         with open(path, "ab") as fh:
             fh.write(b"junk")
         with pytest.raises(pm.CheckpointError, match="trailing"):
+            pm.load_checkpoint(path)
+
+    def test_huge_declared_filter_count_is_truncation_not_allocation(self, tmp_path):
+        path = tmp_path / "huge.pnet"
+        path.write_bytes(pm.CHECKPOINT_MAGIC + struct.pack("<II", 1, 65536))
+        with pytest.raises(pm.CheckpointTruncatedError, match=r"\d+ bytes missing"):
+            pm.load_checkpoint(str(path))
+
+    @pytest.mark.parametrize(
+        "meta, message",
+        [(b"seed=1\nnote=\xff\xfe", "UTF-8"), (b"seed=one", "not an integer")],
+    )
+    def test_bad_metadata_is_a_checkpoint_error(self, tmp_path, meta, message):
+        m = pm.build_model(1, seed=0)
+        path = str(tmp_path / "meta.pnet")
+        pm.save_checkpoint(m, path)
+        # the file ends with the u32 length and the 6 bytes of "seed=0"
+        body = open(path, "rb").read()[:-10]
+        open(path, "wb").write(body + struct.pack("<I", len(meta)) + meta)
+        with pytest.raises(pm.CheckpointError, match=message):
             pm.load_checkpoint(path)
 
     def test_truncated_errors_are_checkpoint_errors(self):
