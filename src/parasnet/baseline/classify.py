@@ -382,8 +382,12 @@ def load_baseline(path: str) -> BaselineModel:
     raw_meta, offset = _take(blob, offset, meta_len, "metadata")
     if offset != len(blob):
         raise BaselineFileError(f"{len(blob) - offset} trailing bytes after metadata")
+    try:
+        text = raw_meta.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise BaselineFileError(f"metadata is not UTF-8: {err}") from None
     meta = {}
-    for line in raw_meta.decode("utf-8").splitlines():
+    for line in text.splitlines():
         if line:
             key, _, value = line.partition("=")
             meta[key] = value

@@ -5,8 +5,11 @@ vectors are (batch, n). Agreement with the single-image kernels in
 ops.py is enforced by tests.
 
 Training (conv_forward with want_cols) lowers each batch to one matrix
-multiply: window extraction (im2col), then GEMM. conv_backward needs
-that window matrix for the kernel gradient. The window matrices and
+multiply: window extraction, then GEMM. conv_backward needs that window
+matrix for the kernel gradient. With C input channels it is the
+(batch*h*w, 9*C) im2col matrix; with one channel (the first layer) it is
+a tap-major (9, batch*h*w) matrix, since im2col's rows of nine scattered
+floats would make the extraction mostly copying. The window matrices and
 pre-activations of this path live in a module-level scratch pool and
 are reused across calls, because repeated fresh allocations of
 50-100MB arrays dominate the runtime otherwise. An array handed out for
@@ -15,12 +18,18 @@ which holds for the forward / backward / next-batch cadence of training.
 The pool is process-global, so the training path is unsafe to run from
 more than one thread at a time.
 
-Inference (conv_forward without want_cols, maxpool_infer) never builds
-the 9*C-wide window matrix and never touches the pool: it convolves by
-accumulating the nine kernel taps, and its outputs are allocated fresh.
-At one image per call those outputs are small enough that allocating
-them costs less than the memory traffic of a window matrix, and callers
-in different threads share no buffers.
+Both paths pool before the ReLU, on the pre-activation conv output, and
+rectify the 4x smaller pooled map; ReLU is monotone, so this equals
+pooling the rectified map. Training keeps no record of the pooling
+winners: maxpool_backward recomputes them from the conv output and the
+pooled map, trading a few comparisons for the stored index map.
+
+Inference (conv_forward without want_cols, maxpool_infer) never touches
+the pool: with C > 1 it convolves by accumulating the nine kernel taps,
+with one channel it gathers the tap-major window matrix, and its
+outputs are allocated fresh. At one image per call those outputs are
+small enough that allocating them costs less than the memory traffic of
+an im2col matrix, and callers in different threads share no buffers.
 """
 
 from __future__ import annotations
@@ -37,6 +46,11 @@ def _buf(tag: str, shape: tuple[int, ...], dtype) -> np.ndarray:
         arr = np.empty(shape, dtype)
         _scratch[key] = arr
     return arr
+
+
+def _fresh(tag: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """_buf's signature, without the pool."""
+    return np.empty(shape, dtype)
 
 
 def clear_scratch() -> None:
@@ -62,37 +76,41 @@ def conv_forward(
 ):
     """Valid 3x3 convolution over a batch.
 
-    Returns the (batch, h-2, w-2, filters) output, plus the flattened
-    window matrix when want_cols is set (the backward pass reuses it).
+    Returns the (batch, h-2, w-2, filters) output, plus the window matrix
+    when want_cols is set (the backward pass reuses it): (9, batch*h_out*
+    w_out), tap-major, for one input channel, else the im2col matrix.
     Without want_cols the output is freshly allocated; with it, both
     arrays are scratch buffers.
     """
     b, h, w, c_in = x.shape
     h_out, w_out = h - 2, w - 2
     n_filters = kernels.shape[3]
-    if want_cols:
-        cols = _im2col(x, h_out, w_out)
-        out = _buf("conv_out", (b * h_out * w_out, n_filters), x.dtype)
-        np.matmul(cols, kernels.reshape(9 * c_in, n_filters), out=out)
+    if c_in > 1 and not want_cols:
+        out = x[:, :h_out, :w_out, :] @ kernels[0, 0]
+        for ki in range(3):
+            for kj in range(3):
+                if ki or kj:
+                    out += x[:, ki:ki + h_out, kj:kj + w_out, :] @ kernels[ki, kj]
         out += bias
-        return out.reshape(b, h_out, w_out, n_filters), cols
+        return out
+    alloc = _buf if want_cols else _fresh
     if c_in == 1:
         # one input channel: nine K=1 products would be bound by copying,
-        # so gather a nine-row tap-major window matrix for one K=9 GEMM
-        taps = np.empty((9, b, h_out, w_out), x.dtype)
+        # and so would im2col's nine scattered floats per pixel, so gather
+        # a nine-row tap-major window matrix for one K=9 GEMM
+        taps = alloc("taps", (9, b, h_out, w_out), x.dtype)
         for ki in range(3):
             for kj in range(3):
                 taps[ki * 3 + kj] = x[:, ki:ki + h_out, kj:kj + w_out, 0]
-        out = taps.reshape(9, -1).T @ kernels.reshape(9, n_filters)
-        out += bias
-        return out.reshape(b, h_out, w_out, n_filters)
-    out = x[:, :h_out, :w_out, :] @ kernels[0, 0]
-    for ki in range(3):
-        for kj in range(3):
-            if ki or kj:
-                out += x[:, ki:ki + h_out, kj:kj + w_out, :] @ kernels[ki, kj]
+        cols = taps.reshape(9, -1)
+        windows = cols.T
+    else:
+        cols = windows = _im2col(x, h_out, w_out)
+    out = alloc("conv_out", (b * h_out * w_out, n_filters), x.dtype)
+    np.matmul(windows, kernels.reshape(9 * c_in, n_filters), out=out)
     out += bias
-    return out
+    out = out.reshape(b, h_out, w_out, n_filters)
+    return (out, cols) if want_cols else out
 
 
 def conv_backward(
@@ -110,7 +128,9 @@ def conv_backward(
     up_flat = upstream.reshape(b * h_out * w_out, n_filters)
 
     d_bias = up_flat.sum(axis=0)
-    d_kernels = (cols.T @ up_flat).reshape(kernels.shape)
+    # one input channel's tap-major window matrix is already (9, n)
+    cols_t = cols if c_in == 1 else cols.T
+    d_kernels = (cols_t @ up_flat).reshape(kernels.shape)
 
     d_input = None
     if need_input_grad:
@@ -135,11 +155,7 @@ def _pool_cells(x: np.ndarray):
     )
 
 
-def maxpool_infer(x: np.ndarray) -> np.ndarray:
-    """2x2/stride-2 max pooling without bookkeeping for a backward pass.
-
-    The output is freshly allocated.
-    """
+def _pool_max(x: np.ndarray) -> np.ndarray:
     a, b_, c_, d = _pool_cells(x)
     out = np.maximum(a, b_)
     np.maximum(out, c_, out=out)
@@ -147,40 +163,48 @@ def maxpool_infer(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def maxpool_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched 2x2/stride-2 max pooling; returns (pooled, argmax indices).
+def maxpool_infer(x: np.ndarray) -> np.ndarray:
+    """2x2/stride-2 max pooling for inference; the output is freshly
+    allocated."""
+    return _pool_max(x)
 
-    Ties go to the first cell in row-major window order.
+
+def maxpool_forward(x: np.ndarray) -> np.ndarray:
+    """2x2/stride-2 max pooling for training; the output is freshly
+    allocated.
+
+    The same values as maxpool_infer, kept as its own function so that
+    profiles tell training's pooling from inference's. It records no
+    winners: maxpool_backward recomputes them from x and the output.
     """
-    a, b_, c_, d = _pool_cells(x)
-    # pairwise where-chains keep the first-cell-wins tie rule of argmax
-    top_is_b = b_ > a
-    top_val = np.where(top_is_b, b_, a)
-    bot_is_d = d > c_
-    bot_val = np.where(bot_is_d, d, c_)
-    bot_wins = bot_val > top_val
-    pooled = np.where(bot_wins, bot_val, top_val)
-    winner = np.where(
-        bot_wins,
-        np.where(bot_is_d, 3, 2),
-        np.where(top_is_b, 1, 0),
-    ).astype(np.int64)
-    return pooled, winner
+    return _pool_max(x)
 
 
 def maxpool_backward(
-    x_shape: tuple[int, ...], winner: np.ndarray, upstream: np.ndarray
+    x_shape: tuple[int, ...], x: np.ndarray, pooled: np.ndarray, upstream: np.ndarray
 ) -> np.ndarray:
-    b, h, w, c = x_shape
-    h_out, w_out = h // 2, w // 2
-    d_flat = np.zeros((b, h_out, w_out, c, 4), dtype=upstream.dtype)
-    np.put_along_axis(d_flat, winner[..., None], upstream[..., None], axis=4)
-    d_input = np.zeros((b, h, w, c), dtype=upstream.dtype)
-    d_input[:, :2 * h_out, :2 * w_out, :] = (
-        d_flat.reshape(b, h_out, w_out, c, 2, 2)
-        .transpose(0, 1, 4, 2, 5, 3)
-        .reshape(b, 2 * h_out, 2 * w_out, c)
-    )
+    """Gradient of relu(maxpool_forward(x)) with respect to x.
+
+    pooled is that rectified output. Each window's upstream gradient
+    goes to its first cell, in row-major window order, whose value
+    equals pooled, and only where pooled > 0: ReLU blocks it elsewhere.
+    A trailing row or column the windows do not cover gets zero.
+    """
+    _, h, w, _ = x_shape
+    d_input = np.empty(x_shape, upstream.dtype)
+    d_input[:, 2 * (h // 2):] = 0
+    d_input[:, :, 2 * (w // 2):] = 0
+    # rest holds what no earlier cell took; a winner's value is
+    # subtracted exactly, leaving 0
+    rest = upstream * (pooled > 0)
+    hit = np.empty(pooled.shape, bool)
+    cells, d_cells = _pool_cells(x), _pool_cells(d_input)
+    for cell, d_cell in zip(cells[:3], d_cells[:3]):
+        np.equal(cell, pooled, out=hit)
+        np.multiply(rest, hit, out=d_cell)
+        rest -= d_cell
+    # any gradient still left belongs to the last cell
+    d_cells[3][...] = rest
     return d_input
 
 

@@ -61,8 +61,10 @@ class ForwardCache:
 
     input_shapes: list[tuple]
     cols: list[np.ndarray]
+    # per stage: the conv output before ReLU, and relu(maxpool(conv_pre)),
+    # from which backward recomputes the pooling winners
     conv_pre: list[np.ndarray]
-    winners: list[np.ndarray]
+    pooled: list[np.ndarray]
     flat: np.ndarray
     dense1_pre: np.ndarray
     hidden: np.ndarray
@@ -216,34 +218,31 @@ def forward_batch(
 
     Returns (probs, hidden) where probs is (B, 3) and hidden is the
     (B, 128) post-ReLU representation. With want_cache=True a third
-    element carries intermediates for backward_batch; those live in
-    batched's scratch pool, so such calls must not run in two threads at
-    once. Calls without want_cache share no buffers.
+    element carries intermediates for backward_batch; the window
+    matrices and conv outputs among them live in batched's scratch
+    pool, so such calls must not run in two threads at once. Calls
+    without want_cache share no buffers.
     """
     if x.ndim != 4 or x.shape[3] != 1:
         raise ValueError(f"expected input of shape (B, h, w, 1), got {x.shape}")
     input_shapes = []
     cols_list = []
     conv_pre = []
-    winners = []
-    keep = want_cache
+    pooled = []
     h = x
     for k, b in zip(model.conv_kernels, model.conv_biases):
         input_shapes.append(h.shape)
-        if keep:
+        # pool, then ReLU on the 4x smaller map: ReLU is monotone, so
+        # both orders give exactly the same values
+        if want_cache:
             a, cols = batched.conv_forward(h, k, b, want_cols=True)
-            # ReLU in place: backward only needs the sign pattern, and
-            # max(a, 0) > 0 exactly where a > 0
-            r = np.maximum(a, 0, out=a)
-            h, winner = batched.maxpool_forward(r)
+            h = batched.maxpool_forward(a)
             cols_list.append(cols)
             conv_pre.append(a)
-            winners.append(winner)
+            pooled.append(h)
         else:
-            # pool, then ReLU on the 4x smaller map: ReLU is monotone,
-            # so both orders give exactly the same values
             h = batched.maxpool_infer(batched.conv_forward(h, k, b))
-            np.maximum(h, 0, out=h)
+        np.maximum(h, 0, out=h)
     flat = h.reshape(h.shape[0], -1)
     if flat.shape[1] != model.dense1_weights.shape[0]:
         raise ValueError(
@@ -261,7 +260,7 @@ def forward_batch(
         input_shapes=input_shapes,
         cols=cols_list,
         conv_pre=conv_pre,
-        winners=winners,
+        pooled=pooled,
         flat=flat,
         dense1_pre=dense1_pre,
         hidden=hidden,
@@ -299,9 +298,10 @@ def backward_batch(
     )
     d_pool = d_flat.reshape(pool_out_shape)
     for i in range(4, -1, -1):
-        relu_shape = cache.conv_pre[i].shape
-        d_relu = batched.maxpool_backward(relu_shape, cache.winners[i], d_pool)
-        d_conv = d_relu * (cache.conv_pre[i] > 0)
+        conv_pre = cache.conv_pre[i]
+        d_conv = batched.maxpool_backward(
+            conv_pre.shape, conv_pre, cache.pooled[i], d_pool
+        )
         d_pool, d_kernels, d_bias = batched.conv_backward(
             cache.input_shapes[i],
             cache.cols[i],

@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from fd import central_diff_grad, rel_error
+from fd import central_diff_grad, kink_pattern, rel_error
 from parasnet import CRYPTO, cli, evaluation as ev, ops, synth, tsne as ts
 from parasnet import model as pm
 from parasnet import training as tr
@@ -197,12 +197,7 @@ def test_c03_gradient_suite():
     def loss_and_kinks():
         probs, _, cache = pm.forward_batch(net, x, want_cache=True)
         value, _ = tr.bce_loss_batch(probs, targets)
-        pattern = (
-            tuple((a > 0).tobytes() for a in cache.conv_pre),
-            tuple(w.tobytes() for w in cache.winners),
-            (cache.dense1_pre > 0).tobytes(),
-        )
-        return value, pattern
+        return value, kink_pattern(cache)
 
     probs, _, cache = pm.forward_batch(net, x, want_cache=True)
     _, d_probs = tr.bce_loss_batch(probs, targets)

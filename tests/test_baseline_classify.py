@@ -227,6 +227,17 @@ class TestModelFile:
         with pytest.raises(BaselineFileError, match="trailing bytes"):
             load_baseline(path)
 
+    def test_non_utf8_metadata_is_rejected(self, tmp_path):
+        import struct
+
+        path = str(tmp_path / "model.pbas")
+        save_baseline(toy_model(), path)  # empty metadata: the file ends in its length
+        blob = open(path, "rb").read()
+        assert blob[-4:] == struct.pack("<I", 0)
+        open(path, "wb").write(blob[:-4] + struct.pack("<I", 2) + b"\xff\xfe")
+        with pytest.raises(BaselineFileError, match="not UTF-8"):
+            load_baseline(path)
+
     def test_absurd_vocab_size_is_rejected(self, tmp_path):
         import struct
 

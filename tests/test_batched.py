@@ -26,26 +26,31 @@ def test_conv_forward_matches_single_image_kernel():
 
 
 def test_conv_backward_matches_single_image_kernel():
+    # one input channel takes the tap-major window path, more take im2col
     rng = np.random.default_rng(1)
-    for _ in range(10):
-        b = int(rng.integers(1, 4))
-        x = rng.standard_normal((b, 7, 8, 2))
-        kernels = rng.standard_normal((3, 3, 2, 3))
-        bias = rng.standard_normal(3)
-        out, cols = batched.conv_forward(x, kernels, bias, want_cols=True)
-        upstream = rng.standard_normal(out.shape)
-        d_input, d_kernels, d_bias = batched.conv_backward(
-            x.shape, cols, kernels, upstream
-        )
-        ref_k = np.zeros_like(kernels)
-        ref_b = np.zeros_like(bias)
-        for i in range(b):
-            g = ops.conv2d_backward(x[i], kernels, upstream[i])
-            np.testing.assert_allclose(d_input[i], g.d_input, rtol=1e-10, atol=1e-12)
-            ref_k += g.d_params[0]
-            ref_b += g.d_params[1]
-        np.testing.assert_allclose(d_kernels, ref_k, rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(d_bias, ref_b, rtol=1e-10, atol=1e-12)
+    for c_in in (1, 2):
+        for _ in range(10):
+            b = int(rng.integers(1, 4))
+            x = rng.standard_normal((b, 7, 8, c_in))
+            kernels = rng.standard_normal((3, 3, c_in, 3))
+            bias = rng.standard_normal(3)
+            out, cols = batched.conv_forward(x, kernels, bias, want_cols=True)
+            upstream = rng.standard_normal(out.shape)
+            d_input, d_kernels, d_bias = batched.conv_backward(
+                x.shape, cols, kernels, upstream
+            )
+            ref_k = np.zeros_like(kernels)
+            ref_b = np.zeros_like(bias)
+            for i in range(b):
+                np.testing.assert_allclose(
+                    out[i], ops.conv2d_valid(x[i], kernels, bias), rtol=1e-12, atol=1e-12
+                )
+                g = ops.conv2d_backward(x[i], kernels, upstream[i])
+                np.testing.assert_allclose(d_input[i], g.d_input, rtol=1e-10, atol=1e-12)
+                ref_k += g.d_params[0]
+                ref_b += g.d_params[1]
+            np.testing.assert_allclose(d_kernels, ref_k, rtol=1e-10, atol=1e-12)
+            np.testing.assert_allclose(d_bias, ref_b, rtol=1e-10, atol=1e-12)
 
 
 def test_conv_backward_can_skip_input_gradient():
@@ -61,20 +66,27 @@ def test_conv_backward_can_skip_input_gradient():
 
 
 def test_maxpool_matches_single_image_kernel():
+    # maxpool_backward differentiates relu(maxpool(x)), so the reference
+    # is the single-image pool's backward on relu(x)
     rng = np.random.default_rng(3)
-    for _ in range(10):
+    for odd_h, odd_w in [(1, 1), (1, 0), (0, 1), (0, 0)] * 3:
         b = int(rng.integers(1, 4))
-        h = int(rng.integers(2, 11))
-        w = int(rng.integers(2, 11))
+        h = 2 * int(rng.integers(1, 6)) + odd_h
+        w = 2 * int(rng.integers(1, 6)) + odd_w
         c = int(rng.integers(1, 4))
-        x = rng.standard_normal((b, h, w, c))
-        pooled, winner = batched.maxpool_forward(x)
-        upstream = rng.standard_normal(pooled.shape)
-        d_input = batched.maxpool_backward(x.shape, winner, upstream)
+        # few distinct values, so most windows hold ties, some at zero
+        x = rng.integers(-2, 3, size=(b, h, w, c)).astype(np.float32)
+        pooled = batched.maxpool_forward(x)
         for i in range(b):
             np.testing.assert_array_equal(pooled[i], ops.maxpool_2x2(x[i]))
-            g = ops.maxpool_2x2_backward(x[i], upstream[i])
-            np.testing.assert_array_equal(d_input[i], g.d_input)
+        np.maximum(pooled, 0, out=pooled)
+        upstream = rng.integers(-3, 4, size=pooled.shape).astype(np.float32)
+        d_input = batched.maxpool_backward(x.shape, x, pooled, upstream)
+        assert d_input.shape == x.shape
+        for i in range(b):
+            relu = np.maximum(x[i], 0)
+            g = ops.maxpool_2x2_backward(relu, upstream[i])
+            np.testing.assert_array_equal(d_input[i], g.d_input * (x[i] > 0))
 
 
 def test_maxpool_infer_matches_single_image_kernel():

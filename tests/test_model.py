@@ -7,6 +7,7 @@ import threading
 import numpy as np
 import pytest
 
+from fd import kink_pattern
 from parasnet import model as pm
 
 
@@ -175,12 +176,7 @@ class TestBackward:
 
         def loss_and_kinks():
             probs, _, cache = pm.forward_batch(m, x, want_cache=True)
-            pattern = (
-                tuple((a > 0).tobytes() for a in cache.conv_pre),
-                tuple(w.tobytes() for w in cache.winners),
-                (cache.dense1_pre > 0).tobytes(),
-            )
-            return float(np.sum(probs * weight)), pattern
+            return float(np.sum(probs * weight)), kink_pattern(cache)
 
         _, _, cache = pm.forward_batch(m, x, want_cache=True)
         grads = pm.backward_batch(m, cache, weight.copy())

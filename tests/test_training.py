@@ -6,7 +6,7 @@ import pytest
 from parasnet import model as pm
 from parasnet import training as tr
 
-from fd import central_diff_grad, rel_error
+from fd import central_diff_grad, kink_pattern, rel_error
 
 
 class TestAdam:
@@ -278,12 +278,7 @@ class TestLossGradientChain:
         def loss_and_kinks():
             probs, _, cache = pm.forward_batch(m, x, want_cache=True)
             value, _ = tr.bce_loss_batch(probs, targets)
-            pattern = (
-                tuple((a > 0).tobytes() for a in cache.conv_pre),
-                tuple(w.tobytes() for w in cache.winners),
-                (cache.dense1_pre > 0).tobytes(),
-            )
-            return value, pattern
+            return value, kink_pattern(cache)
 
         probs, _, cache = pm.forward_batch(m, x, want_cache=True)
         _, d_probs = tr.bce_loss_batch(probs, targets)
