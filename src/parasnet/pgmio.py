@@ -132,12 +132,27 @@ def write_dataset(
         fh.write("\n")
 
 
+def _is_int_at_least(value, minimum: int) -> bool:
+    # JSON true/false load as bool, which Python treats as an int
+    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
+
+
 def read_manifest(root: str) -> dict:
+    """The parsed manifest.json; a malformed one raises ValueError.
+
+    The top level and "counts" must be JSON objects, "height" and
+    "width" positive integers and every count a non-negative integer.
+    """
     path = os.path.join(root, MANIFEST_NAME)
     if not os.path.exists(path):
         raise FileNotFoundError(f"no {MANIFEST_NAME} in {root}")
-    with open(path) as fh:
-        manifest = json.load(fh)
+    with open(path, "rb") as fh:
+        try:
+            manifest = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: manifest nested too deeply") from None
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: manifest is not a JSON object")
     for key in ("version", "height", "width", "counts"):
         if key not in manifest:
             raise ValueError(f"{path}: manifest missing {key!r}")
@@ -146,6 +161,17 @@ def read_manifest(root: str) -> dict:
             f"{path}: manifest version {manifest['version']}, "
             f"expected {MANIFEST_VERSION}"
         )
+    for key in ("height", "width"):
+        if not _is_int_at_least(manifest[key], 1):
+            raise ValueError(f"{path}: {key} {manifest[key]!r} is not a positive integer")
+    counts = manifest["counts"]
+    if not isinstance(counts, dict):
+        raise ValueError(f"{path}: counts is not a JSON object")
+    for name, count in counts.items():
+        if not _is_int_at_least(count, 0):
+            raise ValueError(
+                f"{path}: count {count!r} for {name!r} is not a non-negative integer"
+            )
     return manifest
 
 
@@ -154,13 +180,15 @@ def read_dataset(root: str) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (images, labels) with images shaped (N, height, width, 1).
     Files at twice the manifest resolution are downscaled on the fly.
+    A listed file that is missing raises FileNotFoundError; a malformed
+    manifest or image raises ValueError.
     """
     manifest = read_manifest(root)
     h, w = manifest["height"], manifest["width"]
     images = []
     labels = []
     for label, name in enumerate(CLASS_NAMES):
-        count = int(manifest["counts"].get(name, 0))
+        count = manifest["counts"].get(name, 0)
         for index in range(count):
             path = os.path.join(root, name, f"{index:05d}.pgm")
             if not os.path.exists(path):

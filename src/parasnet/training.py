@@ -228,12 +228,6 @@ def predict_labels(
     return np.argmax(probs, axis=1)
 
 
-def _count_confusion(actual: np.ndarray, predicted: np.ndarray) -> np.ndarray:
-    counts = np.zeros((pm.NUM_CLASSES, pm.NUM_CLASSES), dtype=np.int64)
-    np.add.at(counts, (actual, predicted), 1)
-    return counts
-
-
 def fit(
     model: pm.ParasNetModel,
     train_images: np.ndarray,
@@ -306,5 +300,9 @@ def fit(
         if log is not None:
             log(stats)
 
+    # evaluation imports this module, so its confusion counter is imported here
+    from .evaluation import ConfusionMatrix
+
     preds = predict_labels(model, test_images)
-    return TrainReport(history=history, confusion=_count_confusion(test_labels, preds))
+    confusion = ConfusionMatrix.from_predictions(test_labels, preds).counts
+    return TrainReport(history=history, confusion=confusion)

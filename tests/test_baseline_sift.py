@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from parasnet import synth
 from parasnet.baseline import filters, sift
 
 
@@ -193,3 +194,120 @@ class TestDescriptor:
                 sims.append(float(da @ desc_b[j] / (na * nb + 1e-12)))
         assert len(sims) >= 3
         assert np.median(sims) > 0.7
+
+
+def dense_find_extrema(dog, cfg):
+    """Reference extremum finder: every pixel against a (26, h, w) neighbour stack.
+
+    The contrast test is applied to the whole level only after the
+    neighbour comparison; the shipped finder compares only the pixels
+    that pass it.
+    """
+    out = []
+    n_levels = dog.shape[0]
+    threshold = cfg.contrast_thresh
+    edge_limit = (cfg.edge_ratio + 1.0) ** 2 / cfg.edge_ratio
+    for lev in range(1, n_levels - 1):
+        center = dog[lev, 1:-1, 1:-1]
+        neighbours = []
+        for dl in (-1, 0, 1):
+            plane = dog[lev + dl]
+            for dy in (0, 1, 2):
+                for dx in (0, 1, 2):
+                    if dl == 0 and dy == 1 and dx == 1:
+                        continue
+                    neighbours.append(
+                        plane[dy : dy + center.shape[0], dx : dx + center.shape[1]]
+                    )
+        stack = np.stack(neighbours)
+        is_max = center > stack.max(axis=0)
+        is_min = center < stack.min(axis=0)
+        mask = (is_max | is_min) & (np.abs(center) >= threshold)
+        if not mask.any():
+            continue
+
+        plane = dog[lev]
+        ys, xs = np.nonzero(mask)
+        ys, xs = ys + 1, xs + 1
+        dxx = plane[ys, xs + 1] + plane[ys, xs - 1] - 2.0 * plane[ys, xs]
+        dyy = plane[ys + 1, xs] + plane[ys - 1, xs] - 2.0 * plane[ys, xs]
+        dxy = (
+            plane[ys + 1, xs + 1]
+            - plane[ys + 1, xs - 1]
+            - plane[ys - 1, xs + 1]
+            + plane[ys - 1, xs - 1]
+        ) / 4.0
+        trace = dxx + dyy
+        det = dxx * dyy - dxy * dxy
+        keep = (det > 0) & (trace * trace / np.where(det > 0, det, 1.0) < edge_limit)
+        for y, x, ok in zip(ys, xs, keep):
+            if ok:
+                out.append((lev, int(y), int(x), float(plane[y, x])))
+    return out
+
+
+def assert_same_extrema(dog, cfg):
+    got = sift._find_extrema(dog, cfg)
+    want = dense_find_extrema(dog, cfg)
+    # repr keeps NaN == NaN and the sign of zero
+    assert repr(got) == repr(want)
+    return len(got)
+
+
+class TestExtremaMatchDenseReference:
+    def test_dog_stacks_of_synthetic_images(self):
+        cfg = sift.SiftConfig()
+        found = 0
+        for label in (0, 1, 2):
+            for index in range(2):
+                img = synth.gen_sample(label, index, synth.GenConfig(), 5, "test")
+                for octave in sift.build_pyramid(filters.preprocess(img), cfg):
+                    found += assert_same_extrema(sift.dog_stack(octave), cfg)
+        assert found > 0
+
+    def test_integer_stacks_with_ties_and_plateaus(self):
+        rng = np.random.default_rng(12)
+        found = 0
+        for thresh in (0.0, 1.0, 2.0):
+            cfg = sift.SiftConfig(contrast_thresh=thresh, edge_ratio=1e9)
+            for shape in [(5, 24, 31), (3, 3, 3), (4, 7, 5), (6, 17, 9)]:
+                for span in (1, 3):
+                    dog = rng.integers(-span, span + 1, size=shape).astype(np.float64)
+                    found += assert_same_extrema(dog, cfg)
+        assert found > 0
+
+    def test_values_exactly_at_the_contrast_threshold(self):
+        cfg = sift.SiftConfig()
+        t = cfg.contrast_thresh
+        levels = np.array([-2 * t, -t, -t / 2, 0.0, t / 2, t, 2 * t])
+        rng = np.random.default_rng(13)
+        found = 0
+        for _ in range(6):
+            dog = rng.choice(levels, size=(5, 20, 22))
+            # isolated peaks and pits of exactly +-t
+            dog[1:4, 5:8, 5:8] = 0.0
+            dog[2, 6, 6] = t
+            dog[1:4, 12:15, 12:15] = 0.0
+            dog[2, 13, 13] = -t
+            found += assert_same_extrema(dog, sift.SiftConfig(edge_ratio=1e9))
+            found += assert_same_extrema(dog, cfg)
+        assert found > 0
+
+    def test_stacks_containing_nan(self):
+        cfg = sift.SiftConfig(contrast_thresh=0.5)
+        rng = np.random.default_rng(14)
+        found = 0
+        for share in (0.01, 0.1, 0.5):
+            dog = rng.normal(size=(5, 30, 26))
+            dog[rng.random(dog.shape) < share] = np.nan
+            found += assert_same_extrema(dog, cfg)
+        # a NaN centre or a NaN neighbour removes an otherwise clear peak
+        dog = np.zeros((3, 9, 9))
+        dog[1, 4, 4] = 1.0
+        assert assert_same_extrema(dog, cfg) == 1
+        dog[0, 3, 5] = np.nan
+        assert assert_same_extrema(dog, cfg) == 0
+        dog[0, 3, 5] = 0.0
+        dog[1, 4, 4] = np.nan
+        assert assert_same_extrema(dog, cfg) == 0
+        assert found > 0

@@ -178,6 +178,32 @@ class TestDatasetLayout:
         with pytest.raises(ValueError, match="version 99"):
             pgmio.read_manifest(str(tmp_path))
 
+    @pytest.mark.parametrize(
+        "payload, match",
+        [
+            ("5", "not a JSON object"),
+            ('["version", "height", "width", "counts"]', "not a JSON object"),
+            ('{"version":1,"height":4,"width":4,"counts":[1]}', "counts is not"),
+            ('{"version":1,"height":4,"width":4,"counts":{"crypto":1.5}}', "1.5"),
+            ('{"version":1,"height":4,"width":4,"counts":{"crypto":-1}}', "-1"),
+            ('{"version":1,"height":4,"width":4,"counts":{"crypto":true}}', "True"),
+            ('{"version":1,"height":0,"width":4,"counts":{}}', "height"),
+            ('{"version":1,"height":4,"width":"4","counts":{}}', "width"),
+            ('{"version":1,"height":4.0,"width":4,"counts":{}}', "height"),
+            ("[" * 100000, "nested too deeply"),
+        ],
+        ids=[
+            "int", "list", "counts-list", "float-count", "negative-count",
+            "bool-count", "zero-height", "string-width", "float-height", "deep-nesting",
+        ],
+    )
+    def test_malformed_manifest_raises_value_error(self, tmp_path, payload, match):
+        (tmp_path / "manifest.json").write_text(payload)
+        with pytest.raises(ValueError, match=match):
+            pgmio.read_manifest(str(tmp_path))
+        with pytest.raises(ValueError, match=match):
+            pgmio.read_dataset(str(tmp_path))
+
     def test_mismatched_lengths_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="disagree"):
             pgmio.write_dataset(
