@@ -376,7 +376,10 @@ def load_baseline(path: str) -> BaselineModel:
     for name, shape in _model_arrays(k):
         count = 8 * int(np.prod(shape))
         raw, offset = _take(blob, offset, count, name)
-        fields_[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        array = np.frombuffer(raw, dtype="<f8").reshape(shape)
+        if not np.isfinite(array).all():
+            raise BaselineFileError(f"{name} holds non-finite values")
+        fields_[name] = array.copy()
     raw_len, offset = _take(blob, offset, 4, "metadata length")
     (meta_len,) = struct.unpack("<I", raw_len)
     raw_meta, offset = _take(blob, offset, meta_len, "metadata")

@@ -59,8 +59,8 @@ class ParasNetModel:
 class ForwardCache:
     """Everything the backward pass needs, captured during forward."""
 
-    input_shapes: list[tuple]
-    cols: list[np.ndarray]
+    # per stage: the conv input (the batch, then the rectified pooled maps)
+    inputs: list[np.ndarray]
     # per stage: the conv output before ReLU, and relu(maxpool(conv_pre)),
     # from which backward recomputes the pooling winners
     conv_pre: list[np.ndarray]
@@ -218,31 +218,23 @@ def forward_batch(
 
     Returns (probs, hidden) where probs is (B, 3) and hidden is the
     (B, 128) post-ReLU representation. With want_cache=True a third
-    element carries intermediates for backward_batch; the window
-    matrices and conv outputs among them live in batched's scratch
-    pool, so such calls must not run in two threads at once. Calls
-    without want_cache share no buffers.
+    element carries intermediates for backward_batch.
     """
     if x.ndim != 4 or x.shape[3] != 1:
         raise ValueError(f"expected input of shape (B, h, w, 1), got {x.shape}")
-    input_shapes = []
-    cols_list = []
+    pool = batched.maxpool_forward if want_cache else batched.maxpool_infer
     conv_pre = []
     pooled = []
     h = x
     for k, b in zip(model.conv_kernels, model.conv_biases):
-        input_shapes.append(h.shape)
+        a = batched.conv_forward(h, k, b)
         # pool, then ReLU on the 4x smaller map: ReLU is monotone, so
         # both orders give exactly the same values
+        h = pool(a)
+        np.maximum(h, 0, out=h)
         if want_cache:
-            a, cols = batched.conv_forward(h, k, b, want_cols=True)
-            h = batched.maxpool_forward(a)
-            cols_list.append(cols)
             conv_pre.append(a)
             pooled.append(h)
-        else:
-            h = batched.maxpool_infer(batched.conv_forward(h, k, b))
-        np.maximum(h, 0, out=h)
     flat = h.reshape(h.shape[0], -1)
     if flat.shape[1] != model.dense1_weights.shape[0]:
         raise ValueError(
@@ -257,8 +249,7 @@ def forward_batch(
     if not want_cache:
         return probs, hidden
     cache = ForwardCache(
-        input_shapes=input_shapes,
-        cols=cols_list,
+        inputs=[x, *pooled[:-1]],
         conv_pre=conv_pre,
         pooled=pooled,
         flat=flat,
@@ -294,7 +285,7 @@ def backward_batch(
     grads: list[np.ndarray] = [d_w1, d_b1, d_w2, d_b2]
     pool_out_shape = (
         cache.flat.shape[0],
-        *layer_shapes(model.filters, *cache.input_shapes[0][1:3])[9],
+        *layer_shapes(model.filters, *cache.inputs[0].shape[1:3])[9],
     )
     d_pool = d_flat.reshape(pool_out_shape)
     for i in range(4, -1, -1):
@@ -302,9 +293,10 @@ def backward_batch(
         d_conv = batched.maxpool_backward(
             conv_pre.shape, conv_pre, cache.pooled[i], d_pool
         )
+        x = cache.inputs[i]
         d_pool, d_kernels, d_bias = batched.conv_backward(
-            cache.input_shapes[i],
-            cache.cols[i],
+            x.shape,
+            x,
             model.conv_kernels[i],
             d_conv,
             need_input_grad=(i > 0),
@@ -410,9 +402,12 @@ def load_checkpoint(path: str) -> ParasNetModel:
     )
     arrays = []
     start = 0
-    for shape in shapes:
+    for index, shape in enumerate(shapes):
         size = math.prod(shape)
-        arrays.append(np.frombuffer(raw, "<f4", size, start).reshape(shape).copy())
+        array = np.frombuffer(raw, "<f4", size, start).reshape(shape)
+        if not np.isfinite(array).all():
+            raise CheckpointError(f"parameter tensor {index} holds non-finite values")
+        arrays.append(array.copy())
         start += 4 * size
     raw_len, offset = _take(blob, offset, 4, "metadata length")
     (meta_len,) = struct.unpack("<I", raw_len)

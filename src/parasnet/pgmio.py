@@ -141,7 +141,9 @@ def read_manifest(root: str) -> dict:
     """The parsed manifest.json; a malformed one raises ValueError.
 
     The top level and "counts" must be JSON objects, "height" and
-    "width" positive integers and every count a non-negative integer.
+    "width" positive integers, every key of "counts" a class name and
+    every count a non-negative integer. A class missing from "counts"
+    has no images.
     """
     path = os.path.join(root, MANIFEST_NAME)
     if not os.path.exists(path):
@@ -168,6 +170,10 @@ def read_manifest(root: str) -> dict:
     if not isinstance(counts, dict):
         raise ValueError(f"{path}: counts is not a JSON object")
     for name, count in counts.items():
+        if name not in CLASS_NAMES:
+            raise ValueError(
+                f"{path}: counts names unknown class {name!r}, expected one of {CLASS_NAMES}"
+            )
         if not _is_int_at_least(count, 0):
             raise ValueError(
                 f"{path}: count {count!r} for {name!r} is not a non-negative integer"

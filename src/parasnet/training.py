@@ -66,23 +66,14 @@ def adam_step(
         p -= alpha * (m / c1) / (np.sqrt(v / c2) + epsilon)
 
 
-def bce_loss(probs: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    """Summed binary cross-entropy of each class probability.
+def bce_loss_batch(probs: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
+    """Binary cross-entropy of each class probability, summed over the
+    classes of a (batch, classes) array and averaged over the batch.
 
     Probabilities are clamped to [1e-7, 1 - 1e-7] before the logs; the
-    gradient is zero where the clamp was active. Returns (loss, d_probs).
+    gradient is zero where the clamp was active. Returns (loss, d_probs);
+    d_probs already carries the 1/batch factor.
     """
-    if probs.shape != target.shape:
-        raise ValueError(f"shape mismatch: probs {probs.shape}, target {target.shape}")
-    p = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    inside = (probs > PROB_CLAMP) & (probs < 1.0 - PROB_CLAMP)
-    loss = float(np.sum(-target * np.log(p) - (1.0 - target) * np.log(1.0 - p)))
-    d = (-target / p + (1.0 - target) / (1.0 - p)) * inside
-    return loss, d.astype(probs.dtype)
-
-
-def bce_loss_batch(probs: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean loss over the batch; d_probs already carries the 1/B factor."""
     if probs.ndim != 2 or probs.shape != targets.shape:
         raise ValueError(f"shape mismatch: probs {probs.shape}, targets {targets.shape}")
     b = probs.shape[0]

@@ -101,7 +101,7 @@ def test_c02_shape_trace():
         traced.append(tuple(cache.conv_pre[stage].shape[1:]))
         if stage < 4:
             # pooled maps are the next stage's input
-            traced.append(tuple(cache.input_shapes[stage + 1][1:]))
+            traced.append(tuple(cache.inputs[stage + 1].shape[1:]))
     # the cache flattens the last pooled map, so recompute its shape
     traced.append(ops.maxpool_2x2(cache.conv_pre[4][0]).shape)
     traced.append(tuple(hidden.shape[1:]))

@@ -238,6 +238,16 @@ class TestModelFile:
         with pytest.raises(BaselineFileError, match="not UTF-8"):
             load_baseline(path)
 
+    def test_non_finite_arrays_are_rejected(self, tmp_path):
+        path = str(tmp_path / "model.pbas")
+        for value in (np.nan, np.inf, -np.inf):
+            for name in ("vocabulary", "nb_log_priors"):
+                model = toy_model()
+                getattr(model, name).flat[0] = value
+                save_baseline(model, path)
+                with pytest.raises(BaselineFileError, match=f"{name} holds non-finite"):
+                    load_baseline(path)
+
     def test_absurd_vocab_size_is_rejected(self, tmp_path):
         import struct
 

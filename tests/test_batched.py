@@ -26,7 +26,7 @@ def test_conv_forward_matches_single_image_kernel():
 
 
 def test_conv_backward_matches_single_image_kernel():
-    # one input channel takes the tap-major window path, more take im2col
+    # one input channel takes the tap-major window path, more the tap sum
     rng = np.random.default_rng(1)
     for c_in in (1, 2):
         for _ in range(10):
@@ -34,10 +34,10 @@ def test_conv_backward_matches_single_image_kernel():
             x = rng.standard_normal((b, 7, 8, c_in))
             kernels = rng.standard_normal((3, 3, c_in, 3))
             bias = rng.standard_normal(3)
-            out, cols = batched.conv_forward(x, kernels, bias, want_cols=True)
+            out = batched.conv_forward(x, kernels, bias)
             upstream = rng.standard_normal(out.shape)
             d_input, d_kernels, d_bias = batched.conv_backward(
-                x.shape, cols, kernels, upstream
+                x.shape, x, kernels, upstream
             )
             ref_k = np.zeros_like(kernels)
             ref_b = np.zeros_like(bias)
@@ -57,9 +57,9 @@ def test_conv_backward_can_skip_input_gradient():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((2, 6, 6, 1))
     kernels = rng.standard_normal((3, 3, 1, 2))
-    out, cols = batched.conv_forward(x, kernels, np.zeros(2), want_cols=True)
+    out = batched.conv_forward(x, kernels, np.zeros(2))
     d_input, d_kernels, d_bias = batched.conv_backward(
-        x.shape, cols, kernels, np.ones_like(out), need_input_grad=False
+        x.shape, x, kernels, np.ones_like(out), need_input_grad=False
     )
     assert d_input is None
     assert d_kernels.shape == kernels.shape
@@ -113,18 +113,18 @@ def test_pool_then_relu_equals_relu_then_pool_bit_for_bit():
         assert pool_first.tobytes() == relu_first.tobytes()
 
 
-def test_inference_conv_agrees_with_training_conv_at_network_shapes():
-    rng = np.random.default_rng(9)
+def test_train_mode_without_dropout_matches_infer_mode_bit_for_bit():
+    # both modes run the same convolutions; only the pool kernel differs
     net = model.build_model(8, seed=9)
-    shapes = model.layer_shapes(8)
-    inputs = [(model.INPUT_HEIGHT, model.INPUT_WIDTH, 1)] + shapes[1:9:2]
-    for x_shape, k, bias in zip(inputs, net.conv_kernels, net.conv_biases):
-        for b in (1, 2):
-            x = rng.random((b, *x_shape), dtype=np.float32)
-            fresh = batched.conv_forward(x, k, bias)
-            trained, _ = batched.conv_forward(x, k, bias, want_cols=True)
-            assert fresh.dtype == np.float32
-            np.testing.assert_allclose(fresh, trained, rtol=1e-5, atol=1e-6)
+    rng = np.random.default_rng(9)
+    for b in (1, 2):
+        x = rng.random((b, model.INPUT_HEIGHT, model.INPUT_WIDTH, 1), dtype=np.float32)
+        inferred, _ = model.forward_batch(net, x)
+        trained, _, _ = model.forward_batch(
+            net, x, mode="train", rng=rng, dropout_rate=0.0, want_cache=True
+        )
+        assert inferred.dtype == np.float32
+        assert trained.tobytes() == inferred.tobytes()
 
 
 def test_dense_gradients_match_finite_differences():

@@ -9,6 +9,7 @@ import pytest
 
 from fd import kink_pattern
 from parasnet import model as pm
+from parasnet import training as tr
 
 
 class TestShapes:
@@ -148,22 +149,54 @@ class TestForward:
             for _ in range(40):
                 results[i].append(pm.forward_batch(m, images[i]))
 
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
+        _run_two_threads(worker)
         for i in range(2):
             assert len(results[i]) == 40
             for probs, hidden in results[i]:
                 np.testing.assert_array_equal(probs, expected[i][0])
                 np.testing.assert_array_equal(hidden, expected[i][1])
+
+    def test_concurrent_training_steps_match_serial_gradients(self):
+        m = pm.build_model(8, seed=3)
+        rng = np.random.default_rng(3)
+        batches = rng.random((2, 4, 244, 324, 1), dtype=np.float32)
+        targets = np.eye(3, dtype=np.float32)[rng.integers(0, 3, size=(2, 4))]
+
+        def step(i):
+            probs, _, cache = pm.forward_batch(
+                m, batches[i], mode="train", rng=np.random.default_rng(i), want_cache=True
+            )
+            _, d_probs = tr.bce_loss_batch(probs, targets[i])
+            return pm.backward_batch(m, cache, d_probs)
+
+        expected = [step(i) for i in range(2)]
+        results: list[list] = [[], []]
+
+        def worker(i):
+            for _ in range(10):
+                results[i].append(step(i))
+
+        _run_two_threads(worker)
+        for i in range(2):
+            assert len(results[i]) == 10
+            for grads in results[i]:
+                for got, want in zip(grads, expected[i], strict=True):
+                    np.testing.assert_array_equal(got, want)
+
+
+def _run_two_threads(worker) -> None:
+    """Run worker(0) and worker(1) at once, switching threads often."""
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
 
 
 class TestBackward:
@@ -292,6 +325,16 @@ class TestCheckpoint:
         open(path, "wb").write(body + struct.pack("<I", len(meta)) + meta)
         with pytest.raises(pm.CheckpointError, match=message):
             pm.load_checkpoint(path)
+
+    def test_non_finite_parameters_rejected(self, tmp_path):
+        path = str(tmp_path / "nan.pnet")
+        for value in (np.nan, np.inf, -np.inf):
+            for index in (0, 13):
+                m = pm.build_model(1, seed=0)
+                pm.parameters(m)[index].flat[0] = value
+                pm.save_checkpoint(m, path)
+                with pytest.raises(pm.CheckpointError, match=f"tensor {index} holds non-finite"):
+                    pm.load_checkpoint(path)
 
     def test_truncated_errors_are_checkpoint_errors(self):
         assert issubclass(pm.CheckpointTruncatedError, pm.CheckpointError)

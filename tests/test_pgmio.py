@@ -187,6 +187,8 @@ class TestDatasetLayout:
             ('{"version":1,"height":4,"width":4,"counts":{"crypto":1.5}}', "1.5"),
             ('{"version":1,"height":4,"width":4,"counts":{"crypto":-1}}', "-1"),
             ('{"version":1,"height":4,"width":4,"counts":{"crypto":true}}', "True"),
+            ('{"version":1,"height":4,"width":4,"counts":{"others":2,"Crypto":2,"giardia":2}}',
+             "unknown class 'Crypto'"),
             ('{"version":1,"height":0,"width":4,"counts":{}}', "height"),
             ('{"version":1,"height":4,"width":"4","counts":{}}', "width"),
             ('{"version":1,"height":4.0,"width":4,"counts":{}}', "height"),
@@ -194,7 +196,7 @@ class TestDatasetLayout:
         ],
         ids=[
             "int", "list", "counts-list", "float-count", "negative-count",
-            "bool-count", "zero-height", "string-width", "float-height", "deep-nesting",
+            "bool-count", "unknown-class", "zero-height", "string-width", "float-height", "deep-nesting",
         ],
     )
     def test_malformed_manifest_raises_value_error(self, tmp_path, payload, match):

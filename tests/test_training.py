@@ -60,61 +60,62 @@ class TestAdam:
 
 
 class TestBceLoss:
+    # single samples are batches of one
     def test_uniform_probabilities_value(self):
-        probs = np.full(3, 1.0 / 3.0)
-        target = np.array([1.0, 0.0, 0.0])
-        loss, _ = tr.bce_loss(probs, target)
+        probs = np.full((1, 3), 1.0 / 3.0)
+        target = np.array([[1.0, 0.0, 0.0]])
+        loss, _ = tr.bce_loss_batch(probs, target)
         want = -np.log(1.0 / 3.0) - 2.0 * np.log(2.0 / 3.0)
         assert abs(loss - want) < 1e-9
 
     def test_half_quarter_quarter_value(self):
-        probs = np.array([0.5, 0.25, 0.25])
-        target = np.array([1.0, 0.0, 0.0])
-        loss, _ = tr.bce_loss(probs, target)
+        probs = np.array([[0.5, 0.25, 0.25]])
+        target = np.array([[1.0, 0.0, 0.0]])
+        loss, _ = tr.bce_loss_batch(probs, target)
         want = -np.log(0.5) - 2.0 * np.log(0.75)
         assert abs(loss - want) < 1e-9
 
     def test_perfect_prediction_is_near_zero(self):
-        probs = np.array([1.0 - 2e-7, 1e-7, 1e-7])
-        target = np.array([1.0, 0.0, 0.0])
-        loss, _ = tr.bce_loss(probs, target)
+        probs = np.array([[1.0 - 2e-7, 1e-7, 1e-7]])
+        target = np.array([[1.0, 0.0, 0.0]])
+        loss, _ = tr.bce_loss_batch(probs, target)
         assert 0.0 < loss < 1e-5
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
-            raw = rng.random(3) + 0.05
+            raw = rng.random((1, 3)) + 0.05
             probs = raw / raw.sum()
-            target = np.zeros(3)
-            target[rng.integers(3)] = 1.0
-            _, d = tr.bce_loss(probs, target)
+            target = np.zeros((1, 3))
+            target[0, rng.integers(3)] = 1.0
+            _, d = tr.bce_loss_batch(probs, target)
 
             def f():
-                return tr.bce_loss(probs, target)[0]
+                return tr.bce_loss_batch(probs, target)[0]
 
             assert rel_error(d, central_diff_grad(f, probs)) < 1e-6
 
     def test_clamped_probabilities_give_zero_gradient(self):
-        probs = np.array([0.0, 1.0, 0.5])
-        target = np.array([0.0, 1.0, 1.0])
-        loss, d = tr.bce_loss(probs, target)
+        probs = np.array([[0.0, 1.0, 0.5]])
+        target = np.array([[0.0, 1.0, 1.0]])
+        loss, d = tr.bce_loss_batch(probs, target)
         assert np.isfinite(loss)
-        assert d[0] == 0.0 and d[1] == 0.0
-        assert d[2] != 0.0
+        assert d[0, 0] == 0.0 and d[0, 1] == 0.0
+        assert d[0, 2] != 0.0
 
     def test_batch_is_mean_of_singles(self):
         rng = np.random.default_rng(4)
         probs = rng.dirichlet(np.ones(3), size=5)
         targets = np.eye(3)[rng.integers(0, 3, size=5)]
         total, d = tr.bce_loss_batch(probs, targets)
-        singles = [tr.bce_loss(probs[i], targets[i]) for i in range(5)]
+        singles = [tr.bce_loss_batch(probs[i:i + 1], targets[i:i + 1]) for i in range(5)]
         assert abs(total - np.mean([s[0] for s in singles])) < 1e-12
         for i in range(5):
-            np.testing.assert_allclose(d[i], singles[i][1] / 5.0, rtol=1e-12)
+            np.testing.assert_allclose(d[i], singles[i][1][0] / 5.0, rtol=1e-12)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
-            tr.bce_loss(np.zeros(3), np.zeros(4))
+            tr.bce_loss_batch(np.zeros((1, 3)), np.zeros((1, 4)))
 
 
 def _zero_cfg():
