@@ -10,12 +10,11 @@ catch-all class, because an empty histogram carries no evidence.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .. import NUM_CLASSES, OTHERS
+from .. import NUM_CLASSES, OTHERS, container
 from . import bow, filters
 from .sift import DESCRIPTOR_SIZE, SiftConfig, detect_and_describe
 
@@ -326,16 +325,13 @@ def build_vocab_from_pool(pool: np.ndarray, config: BaselineTrainConfig) -> np.n
 
 
 def save_baseline(model: BaselineModel, path: str) -> None:
-    """Little-endian float64 arrays behind a magic/version/size header."""
-    meta_lines = [f"{k}={v}" for k, v in sorted(model.meta.items())]
-    meta = "\n".join(meta_lines).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<II", MODEL_VERSION, model.vocab_size))
-        for arr in _model_arrays(model.vocab_size):
-            fh.write(np.ascontiguousarray(getattr(model, arr[0]), dtype="<f8").tobytes())
-        fh.write(struct.pack("<I", len(meta)))
-        fh.write(meta)
+    """Write the model as a container (see container.py): the count is
+    the vocabulary size, the arrays float64, the metadata in key order."""
+    arrays = [getattr(model, name) for name, _ in _model_arrays(model.vocab_size)]
+    container.write(
+        path, MODEL_MAGIC, MODEL_VERSION, model.vocab_size, arrays, "<f8",
+        sorted(model.meta.items()),
+    )
 
 
 def _model_arrays(k: int) -> list[tuple[str, tuple[int, ...]]]:
@@ -349,49 +345,9 @@ def _model_arrays(k: int) -> list[tuple[str, tuple[int, ...]]]:
     ]
 
 
-def _take(blob: bytes, offset: int, count: int, what: str) -> tuple[bytes, int]:
-    if offset + count > len(blob):
-        missing = offset + count - len(blob)
-        raise BaselineTruncatedError(
-            f"file truncated while reading {what}: {missing} bytes missing"
-        )
-    return blob[offset : offset + count], offset + count
-
-
 def load_baseline(path: str) -> BaselineModel:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    magic, offset = _take(blob, 0, 4, "magic")
-    if magic != MODEL_MAGIC:
-        raise BaselineMagicError(f"bad magic {magic!r}, expected {MODEL_MAGIC!r}")
-    header, offset = _take(blob, offset, 8, "header")
-    version, k = struct.unpack("<II", header)
-    if version != MODEL_VERSION:
-        raise BaselineVersionError(
-            f"unsupported model version {version}, expected {MODEL_VERSION}"
-        )
-    if k < 1 or k > 65536:
-        raise BaselineFileError(f"implausible vocabulary size {k}")
-    fields_ = {}
-    for name, shape in _model_arrays(k):
-        count = 8 * int(np.prod(shape))
-        raw, offset = _take(blob, offset, count, name)
-        array = np.frombuffer(raw, dtype="<f8").reshape(shape)
-        if not np.isfinite(array).all():
-            raise BaselineFileError(f"{name} holds non-finite values")
-        fields_[name] = array.copy()
-    raw_len, offset = _take(blob, offset, 4, "metadata length")
-    (meta_len,) = struct.unpack("<I", raw_len)
-    raw_meta, offset = _take(blob, offset, meta_len, "metadata")
-    if offset != len(blob):
-        raise BaselineFileError(f"{len(blob) - offset} trailing bytes after metadata")
-    try:
-        text = raw_meta.decode("utf-8")
-    except UnicodeDecodeError as err:
-        raise BaselineFileError(f"metadata is not UTF-8: {err}") from None
-    meta = {}
-    for line in text.splitlines():
-        if line:
-            key, _, value = line.partition("=")
-            meta[key] = value
-    return BaselineModel(meta=meta, **fields_)
+    _, arrays, meta = container.read(
+        path, MODEL_MAGIC, MODEL_VERSION, "vocabulary size", _model_arrays, "<f8",
+        (BaselineFileError, BaselineMagicError, BaselineVersionError, BaselineTruncatedError),
+    )
+    return BaselineModel(meta=meta, **arrays)

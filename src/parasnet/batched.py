@@ -1,8 +1,8 @@
 """Batched layer kernels used by the training and evaluation hot paths.
 
 Inputs carry a leading batch axis: feature maps are (batch, h, w, c),
-vectors are (batch, n). Agreement with the single-image kernels in
-ops.py is enforced by tests.
+vectors are (batch, n). Tests check them against the single-image
+reference layers in tests/ops.py.
 
 One convolution serves training and inference. With C > 1 input
 channels it accumulates the nine kernel taps, each a window view of the

@@ -60,6 +60,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="cap BLAS worker threads (1 forces a serial, bit-reproducible run)",
     )
 
+    train_opts = argparse.ArgumentParser(add_help=False)
+    train_opts.add_argument("--epochs", type=_positive_int, default=30)
+    train_opts.add_argument("--batch", type=_positive_int, default=8)
+    train_opts.add_argument("--lr", type=float, default=0.001)
+    train_opts.add_argument("--seed", type=int, default=0)
+    train_opts.add_argument("--no-augment", action="store_true",
+                            help="disable flips and shifts during training")
+
     parser = argparse.ArgumentParser(
         prog="parasnet", description=__doc__.split("\n", 1)[0]
     )
@@ -77,16 +85,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="5000/1000 images per class instead of --train/--test")
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("train", parents=[common], help="train the CNN")
+    p = sub.add_parser("train", parents=[common, train_opts], help="train the CNN")
     p.add_argument("--data", required=True, help="dataset root (train/ and test/)")
     p.add_argument("--filters", type=_positive_int, default=8,
                    help="first-layer filter count F")
-    p.add_argument("--epochs", type=_positive_int, default=30)
-    p.add_argument("--batch", type=_positive_int, default=8)
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-augment", action="store_true",
-                   help="disable flips and shifts during training")
     p.add_argument("--ckpt", default=os.path.join(out, "model.pnet"),
                    help="checkpoint output path")
     p.add_argument("--history", default=os.path.join(out, "train_history.csv"),
@@ -99,20 +101,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--split", choices=("train", "test"), default="test")
     p.add_argument("--out", default=os.path.join(out, "confusion.csv"))
-    p.set_defaults(func=_cmd_eval)
+    p.set_defaults(func=lambda args: _evaluate(_load_cnn(args.ckpt), args))
 
-    p = sub.add_parser("sweep", parents=[common],
+    p = sub.add_parser("sweep", parents=[common, train_opts],
                        help="accuracy across filter widths")
     p.add_argument("--data", required=True)
     p.add_argument("--filters", type=_filter_list, default=[2, 4, 8, 16],
                    help="comma-separated filter counts")
-    p.add_argument("--epochs", type=_positive_int, default=30)
-    p.add_argument("--batch", type=_positive_int, default=8)
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--init-seed", type=int, default=0,
                    help="weight initialization seed, shared by all widths")
-    p.add_argument("--no-augment", action="store_true")
     p.add_argument("--out", default=os.path.join(out, "sweep.csv"))
     p.set_defaults(func=_cmd_sweep)
 
@@ -145,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--split", choices=("train", "test"), default="test")
     p.add_argument("--out", default=os.path.join(out, "baseline_confusion.csv"))
-    p.set_defaults(func=_cmd_baseline_eval)
+    p.set_defaults(func=lambda args: _evaluate(_load_baseline(args.model), args))
 
     p = sub.add_parser("bench", parents=[common],
                        help="single-image latency and throughput")
@@ -189,6 +186,18 @@ def _read_split(pgmio, root: str, split: str):
     return pgmio.read_dataset(os.path.join(root, split))
 
 
+def _train_config(args: argparse.Namespace):
+    from . import training
+
+    return training.TrainConfig(
+        epochs=args.epochs,
+        batch_size=args.batch,
+        learning_rate=args.lr,
+        seed=args.seed,
+        augment=None if args.no_augment else training.AugmentConfig(),
+    )
+
+
 def _cmd_train(args: argparse.Namespace) -> int:
     from . import evaluation, pgmio, training
     from . import model as pm
@@ -197,13 +206,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     test_images, test_labels = _read_split(pgmio, args.data, "test")
     h, w = train_images.shape[1:3]
     net = pm.build_model(args.filters, seed=args.seed, height=h, width=w)
-    config = training.TrainConfig(
-        epochs=args.epochs,
-        batch_size=args.batch,
-        learning_rate=args.lr,
-        seed=args.seed,
-        augment=None if args.no_augment else training.AugmentConfig(),
-    )
+    config = _train_config(args)
     report = training.fit(
         net, train_images, train_labels, test_images, test_labels, config,
         log=lambda e: print(
@@ -224,37 +227,12 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
-    from . import evaluation, pgmio
-    from . import model as pm
-
-    net = pm.load_checkpoint(args.ckpt)
-    images, labels = _read_split(pgmio, args.data, args.split)
-    matrix = evaluation.evaluate(evaluation.CnnClassifier(net), images, labels)
-    _ensure_parent(args.out)
-    matrix.to_csv(args.out)
-    print(matrix)
-    from . import CLASS_NAMES
-
-    for name, acc in zip(CLASS_NAMES, matrix.per_class_accuracy()):
-        print(f"{name} accuracy {acc:.4f}")
-    print(f"overall accuracy {matrix.accuracy():.4f}")
-    print(f"confusion -> {args.out}")
-    return 0
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from . import evaluation, pgmio, training
+    from . import evaluation, pgmio
 
     train_images, train_labels = _read_split(pgmio, args.data, "train")
     test_images, test_labels = _read_split(pgmio, args.data, "test")
-    config = training.TrainConfig(
-        epochs=args.epochs,
-        batch_size=args.batch,
-        learning_rate=args.lr,
-        seed=args.seed,
-        augment=None if args.no_augment else training.AugmentConfig(),
-    )
+    config = _train_config(args)
     result = evaluation.filter_sweep(
         args.filters, train_images, train_labels, test_images, test_labels,
         config, init_seed=args.init_seed,
@@ -324,15 +302,24 @@ def _load_baseline(path: str):
     return classify.SiftBowClassifier(model, gap_threshold=gap)
 
 
-def _cmd_baseline_eval(args: argparse.Namespace) -> int:
-    from . import evaluation, pgmio
+def _load_cnn(path: str):
+    from . import evaluation
+    from . import model as pm
 
-    clf = _load_baseline(args.model)
+    return evaluation.CnnClassifier(pm.load_checkpoint(path))
+
+
+def _evaluate(clf, args: argparse.Namespace) -> int:
+    """eval and baseline-eval: the confusion of clf on a dataset split."""
+    from . import CLASS_NAMES, evaluation, pgmio
+
     images, labels = _read_split(pgmio, args.data, args.split)
     matrix = evaluation.evaluate(clf, images, labels)
     _ensure_parent(args.out)
     matrix.to_csv(args.out)
     print(matrix)
+    for name, acc in zip(CLASS_NAMES, matrix.per_class_accuracy()):
+        print(f"{name} accuracy {acc:.4f}")
     print(f"overall accuracy {matrix.accuracy():.4f}")
     print(f"confusion -> {args.out}")
     return 0
@@ -340,12 +327,10 @@ def _cmd_baseline_eval(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     from . import evaluation, pgmio
-    from . import model as pm
 
-    net = pm.load_checkpoint(args.ckpt)
+    cnn = _load_cnn(args.ckpt)
     images, _ = _read_split(pgmio, args.data, args.split)
     images = images[: args.images]
-    cnn = evaluation.CnnClassifier(net)
     rows = [
         ("cnn", evaluation.benchmark(
             cnn.predict_one, images, warmup=args.warmup, iters=args.iters

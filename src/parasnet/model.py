@@ -8,13 +8,11 @@ The number of filters per conv layer is the single width knob.
 
 from __future__ import annotations
 
-import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import batched, ops
+from . import batched, container
 
 INPUT_HEIGHT = 244
 INPUT_WIDTH = 324
@@ -206,6 +204,28 @@ def expected_param_count(filters: int) -> int:
     return conv1 + conv_rest + dense1 + dense2
 
 
+def dropout(
+    x: np.ndarray, rate: float, mode: str, rng: np.random.Generator | None = None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Inverted dropout.
+
+    Train mode keeps each element with probability (1 - rate) and rescales
+    by 1/(1 - rate); inference is the identity. Returns (output, mask);
+    the mask (None in inference mode) scales the gradient in backward.
+    """
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+    if mode == "infer":
+        return x, None
+    if mode != "train":
+        raise ValueError(f"dropout mode must be 'train' or 'infer', got {mode!r}")
+    if rng is None:
+        raise ValueError("train-mode dropout needs an RNG")
+    keep = rng.random(x.shape) >= rate
+    mask = keep.astype(x.dtype) / x.dtype.type(1.0 - rate)
+    return x * mask, mask
+
+
 def forward_batch(
     model: ParasNetModel,
     x: np.ndarray,
@@ -243,7 +263,7 @@ def forward_batch(
         )
     dense1_pre = batched.dense_forward(flat, model.dense1_weights, model.dense1_bias)
     hidden = np.maximum(dense1_pre, 0)
-    dropped, mask = ops.dropout(hidden, dropout_rate, mode, rng)
+    dropped, mask = dropout(hidden, dropout_rate, mode, rng)
     logits = batched.dense_forward(dropped, model.dense2_weights, model.dense2_bias)
     probs = batched.softmax_rows(logits)
     if not want_cache:
@@ -340,93 +360,28 @@ def forward(
     return probs[0], hidden[0]
 
 
-def _format_meta(model: ParasNetModel) -> bytes:
-    lines = [f"seed={model.init_seed}"]
-    for key in sorted(model.meta):
-        value = model.meta[key]
-        if "=" in key or "\n" in key or "\n" in value:
-            raise ValueError(f"metadata key/value not encodable: {key!r}")
-        lines.append(f"{key}={value}")
-    return "\n".join(lines).encode("utf-8")
-
-
 def save_checkpoint(model: ParasNetModel, path: str) -> None:
-    """Write the model to disk.
-
-    Layout: magic, u32 version, u32 filter count, every parameter
-    tensor as little-endian float32 in a fixed order, then a
-    length-prefixed UTF-8 metadata block. Integers are little-endian.
-    """
-    meta = _format_meta(model)
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<II", CHECKPOINT_VERSION, model.filters))
-        for p in parameters(model):
-            fh.write(np.ascontiguousarray(p, dtype="<f4").tobytes())
-        fh.write(struct.pack("<I", len(meta)))
-        fh.write(meta)
+    """Write the model as a container (see container.py): the filter
+    count, parameters() as float32, then metadata led by seed=<init_seed>,
+    so "seed" cannot be a model.meta key."""
+    container.write(
+        path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, model.filters, parameters(model),
+        "<f4", [("seed", str(model.init_seed)), *sorted(model.meta.items())],
+    )
 
 
-def _take(blob: bytes, offset: int, count: int, what: str) -> tuple[bytes, int]:
-    if offset + count > len(blob):
-        missing = offset + count - len(blob)
-        raise CheckpointTruncatedError(
-            f"file truncated while reading {what}: {missing} bytes missing"
-        )
-    return blob[offset : offset + count], offset + count
+def _tensor_layout(filters: int) -> list[tuple[str, tuple[int, ...]]]:
+    return [(f"parameter tensor {i}", s) for i, s in enumerate(parameter_shapes(filters))]
 
 
 def load_checkpoint(path: str) -> ParasNetModel:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    magic, offset = _take(blob, 0, 4, "magic")
-    if magic != CHECKPOINT_MAGIC:
-        raise CheckpointMagicError(
-            f"bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}"
-        )
-    header, offset = _take(blob, offset, 8, "header")
-    version, filters = struct.unpack("<II", header)
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointVersionError(
-            f"unsupported checkpoint version {version}, expected {CHECKPOINT_VERSION}"
-        )
-    if filters < 1 or filters > 65536:
-        raise CheckpointError(f"implausible filter count {filters}")
-
-    shapes = parameter_shapes(filters)
-    # the header alone fixes the parameter byte count: check it against
-    # the file before allocating, since a doctored header can declare
-    # hundreds of GB
-    raw, offset = _take(
-        blob, offset, 4 * sum(math.prod(s) for s in shapes), "parameter tensors"
+    filters, arrays, meta = container.read(
+        path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "filter count", _tensor_layout, "<f4",
+        (CheckpointError, CheckpointMagicError, CheckpointVersionError, CheckpointTruncatedError),
     )
-    arrays = []
-    start = 0
-    for index, shape in enumerate(shapes):
-        size = math.prod(shape)
-        array = np.frombuffer(raw, "<f4", size, start).reshape(shape)
-        if not np.isfinite(array).all():
-            raise CheckpointError(f"parameter tensor {index} holds non-finite values")
-        arrays.append(array.copy())
-        start += 4 * size
-    raw_len, offset = _take(blob, offset, 4, "metadata length")
-    (meta_len,) = struct.unpack("<I", raw_len)
-    raw_meta, offset = _take(blob, offset, meta_len, "metadata")
-    if offset != len(blob):
-        raise CheckpointError(f"{len(blob) - offset} trailing bytes after metadata")
-
-    try:
-        text = raw_meta.decode("utf-8")
-    except UnicodeDecodeError as err:
-        raise CheckpointError(f"metadata is not UTF-8: {err}") from None
-    meta: dict[str, str] = {}
-    for line in text.splitlines():
-        if line:
-            key, _, value = line.partition("=")
-            meta[key] = value
     seed_text = meta.pop("seed", "-1")
     try:
         seed = int(seed_text)
     except ValueError:
         raise CheckpointError(f"seed {seed_text!r} is not an integer") from None
-    return _from_parameters(filters, arrays, seed, meta)
+    return _from_parameters(filters, list(arrays.values()), seed, meta)

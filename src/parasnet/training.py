@@ -294,6 +294,8 @@ def fit(
     # evaluation imports this module, so its confusion counter is imported here
     from .evaluation import ConfusionMatrix
 
-    preds = predict_labels(model, test_images)
+    # the last epoch's test pass already predicted the final model
+    if not history:
+        preds = predict_labels(model, test_images)
     confusion = ConfusionMatrix.from_predictions(test_labels, preds).counts
     return TrainReport(history=history, confusion=confusion)

@@ -1,9 +1,10 @@
-"""Single-image layer primitives with hand-written forward and backward passes.
+"""Single-image reference layers with hand-written forward and backward passes.
 
-Feature maps are (height, width, channels) arrays, vectors are 1-d arrays.
-Convolution kernels are (3, 3, in_channels, out_channels). Every operation
-is a pure function of its inputs (plus an explicitly passed RNG for
-dropout), so concurrent callers never share mutable state.
+The package's batched kernels (parasnet.batched) are tested against
+these, and these against finite differences. Feature maps are (height,
+width, channels) arrays, vectors are 1-d arrays. Convolution kernels
+are (3, 3, in_channels, out_channels). Every operation is a pure
+function of its inputs.
 
 The convolution accumulates in a fixed order (kernel row, kernel column,
 input channel) so its float64 output is bit-identical to a sequentially
@@ -161,28 +162,6 @@ def dense_backward(x: np.ndarray, weights: np.ndarray, upstream: np.ndarray) -> 
     d_weights = np.outer(x, upstream)
     d_bias = upstream.copy()
     return LayerGradients(d_input=d_input, d_params=[d_weights, d_bias])
-
-
-def dropout(
-    x: np.ndarray, rate: float, mode: str, rng: np.random.Generator | None = None
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Inverted dropout.
-
-    Train mode keeps each element with probability (1 - rate) and rescales
-    by 1/(1 - rate); inference is the identity. Returns (output, mask);
-    the mask (None in inference mode) feeds dropout_backward.
-    """
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if mode == "infer":
-        return x, None
-    if mode != "train":
-        raise ValueError(f"dropout mode must be 'train' or 'infer', got {mode!r}")
-    if rng is None:
-        raise ValueError("train-mode dropout needs an RNG")
-    keep = rng.random(x.shape) >= rate
-    mask = keep.astype(x.dtype) / x.dtype.type(1.0 - rate)
-    return x * mask, mask
 
 
 def dropout_backward(mask: np.ndarray | None, upstream: np.ndarray) -> LayerGradients:

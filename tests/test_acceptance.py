@@ -16,8 +16,9 @@ import time
 import numpy as np
 import pytest
 
+import ops
 from fd import central_diff_grad, kink_pattern, rel_error
-from parasnet import CRYPTO, cli, evaluation as ev, ops, synth, tsne as ts
+from parasnet import CRYPTO, cli, evaluation as ev, synth, tsne as ts
 from parasnet import model as pm
 from parasnet import training as tr
 from parasnet.baseline import classify
@@ -172,7 +173,7 @@ def test_c03_gradient_suite():
 
     for i in range(20):
         x = rng.standard_normal((3, 6))
-        _, mask = ops.dropout(x, 0.5, "train", np.random.default_rng(100 + i))
+        _, mask = pm.dropout(x, 0.5, "train", np.random.default_rng(100 + i))
         up = rng.standard_normal((3, 6))
         # the mask is frozen, making the layer a fixed elementwise scale
         loss = lambda: float(np.sum(x * mask * up))

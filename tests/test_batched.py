@@ -2,9 +2,10 @@
 
 import numpy as np
 
-from parasnet import batched, ops
+from parasnet import batched
 from parasnet import model
 
+import ops
 from fd import central_diff_grad, rel_error
 
 

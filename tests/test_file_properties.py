@@ -5,7 +5,9 @@ overwritten 32-bit fields, truncation, insertion), are fed to each
 reader. A PGM or manifest may only raise ValueError (read_dataset also
 FileNotFoundError when a listed image is missing), a checkpoint only
 CheckpointError and a baseline model only BaselineFileError. Any other
-exception, a MemoryError included, fails the test.
+exception, a MemoryError included, fails the test. Metadata saved with
+either binary format must read back unchanged, or the save must raise
+ValueError.
 """
 
 import json
@@ -86,12 +88,16 @@ def valid_checkpoint(workdir):
     return _read(path)
 
 
-@pytest.fixture(scope="module")
-def valid_baseline(workdir):
+def _baseline(meta: dict) -> classify.BaselineModel:
     rng = np.random.default_rng(4)
     arrays = {name: rng.random(shape) for name, shape in classify._model_arrays(2)}
+    return classify.BaselineModel(meta=meta, **arrays)
+
+
+@pytest.fixture(scope="module")
+def valid_baseline(workdir):
     path = workdir / "valid.pbas"
-    classify.save_baseline(classify.BaselineModel(meta={"gap": "0.2"}, **arrays), str(path))
+    classify.save_baseline(_baseline({"gap": "0.2"}), str(path))
     return _read(path)
 
 
@@ -99,6 +105,66 @@ def test_valid_files_load(workdir, valid_checkpoint, valid_baseline):
     assert pgmio.read_pgm(_write(workdir / "v.pgm", VALID_PGM)).shape == (5, 7)
     assert pm.load_checkpoint(_write(workdir / "v.pnet", valid_checkpoint)).filters == 1
     assert classify.load_baseline(_write(workdir / "v.pbas", valid_baseline)).vocab_size == 2
+
+
+# ordinary text, the checkpoint's own "seed" key, and the characters
+# that can break a key=value line
+LINE_BREAKS = ["\n", "\r", "\x0b", "\x1c", "\x85", "\u2028"]
+meta_dicts = st.dictionaries(
+    st.one_of(st.text(max_size=6), st.just("seed"), st.sampled_from(["", "=", *LINE_BREAKS])),
+    st.one_of(st.text(max_size=6), st.sampled_from(["", "9", "a=b", *LINE_BREAKS])),
+    max_size=2,
+)
+
+
+@FAST
+@given(meta=meta_dicts)
+def test_checkpoint_metadata_round_trips_or_save_raises(workdir, meta):
+    model = pm.build_model(1, seed=5)
+    model.meta = dict(meta)
+    path = str(workdir / "meta.pnet")
+    try:
+        pm.save_checkpoint(model, path)
+    except ValueError:
+        return
+    loaded = pm.load_checkpoint(path)
+    assert loaded.meta == meta and loaded.init_seed == 5
+
+
+@FAST
+@given(meta=meta_dicts)
+def test_baseline_metadata_round_trips_or_save_raises(workdir, meta):
+    path = str(workdir / "meta.pbas")
+    try:
+        classify.save_baseline(_baseline(dict(meta)), path)
+    except ValueError:
+        return
+    assert classify.load_baseline(path).meta == meta
+
+
+UNREADABLE_META = [
+    {"note": "a\nseed=9", "x=y": "z"},
+    {"x=y": "z"},
+    *({"k": f"v{brk}w"} for brk in LINE_BREAKS),
+]
+
+
+@pytest.mark.parametrize("meta", UNREADABLE_META + [{"seed": "9"}, {"seed": "abc"}])
+def test_checkpoint_save_rejects_unreadable_metadata_before_writing(tmp_path, meta):
+    model = pm.build_model(1, seed=5)
+    model.meta = meta
+    path = tmp_path / "m.pnet"
+    with pytest.raises(ValueError, match="would not read back"):
+        pm.save_checkpoint(model, str(path))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("meta", UNREADABLE_META)
+def test_baseline_save_rejects_unreadable_metadata_before_writing(tmp_path, meta):
+    path = tmp_path / "m.pbas"
+    with pytest.raises(ValueError, match="would not read back"):
+        classify.save_baseline(_baseline(meta), str(path))
+    assert not path.exists()
 
 
 pgm_headers = st.builds(

@@ -1,10 +1,11 @@
-"""Tests for the single-image layer primitives."""
+"""Tests for the single-image reference layers and the model's dropout."""
 
 import numpy as np
 import pytest
 
-from parasnet import ops
+from parasnet import model as pm
 
+import ops
 from fd import central_diff_grad, rel_error
 
 
@@ -244,31 +245,31 @@ class TestDropout:
     def test_rate_zero_is_identity_in_both_modes(self):
         rng = np.random.default_rng(0)
         x = rng.random(50)
-        out_train, _ = ops.dropout(x, 0.0, "train", np.random.default_rng(1))
-        out_infer, _ = ops.dropout(x, 0.0, "infer")
+        out_train, _ = pm.dropout(x, 0.0, "train", np.random.default_rng(1))
+        out_infer, _ = pm.dropout(x, 0.0, "infer")
         np.testing.assert_array_equal(out_train, x)
         np.testing.assert_array_equal(out_infer, x)
 
     def test_infer_mode_is_identity_for_any_rate(self):
         x = np.random.default_rng(0).random(100)
-        out, mask = ops.dropout(x, 0.7, "infer")
+        out, mask = pm.dropout(x, 0.7, "infer")
         assert mask is None
         np.testing.assert_array_equal(out, x)
 
     def test_expected_value_is_preserved(self):
         x = np.ones(10_000)
-        out, _ = ops.dropout(x, 0.5, "train", np.random.default_rng(42))
+        out, _ = pm.dropout(x, 0.5, "train", np.random.default_rng(42))
         assert 0.95 <= out.mean() <= 1.05
 
     def test_rejects_rate_outside_range(self):
         for rate in (-0.1, 1.0, 1.5):
             with pytest.raises(ValueError, match="rate"):
-                ops.dropout(np.ones(3), rate, "train", np.random.default_rng(0))
+                pm.dropout(np.ones(3), rate, "train", np.random.default_rng(0))
 
     def test_backward_reuses_mask(self):
         x = np.ones(1000)
         rng = np.random.default_rng(7)
-        out, mask = ops.dropout(x, 0.5, "train", rng)
+        out, mask = pm.dropout(x, 0.5, "train", rng)
         grads = ops.dropout_backward(mask, np.ones(1000))
         np.testing.assert_array_equal(grads.d_input, mask)
 

@@ -232,6 +232,29 @@ class TestFit:
         for a, b in zip(p1, p2):
             assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("epochs", [0, 1, 3])
+    def test_one_test_pass_per_epoch_and_the_confusion_reuses_the_last(
+        self, monkeypatch, epochs
+    ):
+        rng = np.random.default_rng(9)
+        train_x, train_y = _blob_dataset(rng, 2)
+        test_x, test_y = _blob_dataset(rng, 2)
+        passes = []
+        forward_images = pm.forward_images
+
+        def counted(model, images, *args):
+            passes.append(len(images))
+            return forward_images(model, images, *args)
+
+        monkeypatch.setattr(pm, "forward_images", counted)
+        model = pm.build_model(1, seed=0, height=94, width=94)
+        config = tr.TrainConfig(epochs=epochs, batch_size=2, seed=2)
+        report = tr.fit(model, train_x, train_y, test_x, test_y, config)
+        assert passes == [len(test_x)] * max(epochs, 1)
+        expected = np.zeros((3, 3), dtype=np.int64)
+        np.add.at(expected, (test_y, tr.predict_labels(model, test_x)), 1)
+        np.testing.assert_array_equal(report.confusion, expected)
+
     def test_csv_round_trip(self, tmp_path):
         report = tr.TrainReport(
             history=[
