@@ -8,7 +8,8 @@ Subcommands:
   embed           t-SNE of the last hidden layer to CSV
   baseline-train  fit the keypoint-histogram classifier
   baseline-eval   confusion matrix of a saved baseline model
-  bench           single-image latency of the CNN against the baseline
+  bench           single-image latency of the CNN against the baseline,
+                  as the median of three timed runs
 
 Every run prints its resolved configuration up front, so that line plus
 the seeds in it reproduce the run. PARASNET_OUTDIR moves all default
@@ -23,6 +24,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+
+# bench times each pipeline this many times and reports the median
+BENCH_REPEATS = 3
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _outdir() -> str:
@@ -206,6 +211,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     test_images, test_labels = _read_split(pgmio, args.data, "test")
     h, w = train_images.shape[1:3]
     net = pm.build_model(args.filters, seed=args.seed, height=h, width=w)
+    pm.check_savable(net)
     config = _train_config(args)
     report = training.fit(
         net, train_images, train_labels, test_images, test_labels, config,
@@ -326,36 +332,52 @@ def _evaluate(clf, args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    import platform
+
+    import numpy as np
+
     from . import evaluation, pgmio
 
     cnn = _load_cnn(args.ckpt)
     images, _ = _read_split(pgmio, args.data, args.split)
     images = images[: args.images]
-    rows = [
-        ("cnn", evaluation.benchmark(
-            cnn.predict_one, images, warmup=args.warmup, iters=args.iters
-        ))
-    ]
+    pipelines = [("cnn", cnn.predict_one)]
     if args.baseline is not None:
-        clf = _load_baseline(args.baseline)
-        rows.append(("baseline", evaluation.benchmark(
-            clf.predict_one, images, warmup=args.warmup, iters=args.iters
-        )))
-    _ensure_parent(args.out)
+        pipelines.append(("baseline", _load_baseline(args.baseline).predict_one))
+    threads = " ".join(f"{var}={os.environ.get(var, 'unset')}" for var in BLAS_THREAD_VARS)
+    print(
+        f"env nproc={os.cpu_count()} {threads} "
+        f"numpy={np.__version__} python={platform.python_version()}"
+    )
     lines = ["pipeline,p50_ms,p90_ms,p99_ms,fps"]
-    for name, rep in rows:
+    fps = []
+    for name, predict_one in pipelines:
+        reports = [
+            evaluation.benchmark(predict_one, images, warmup=args.warmup, iters=args.iters)
+            for _ in range(BENCH_REPEATS)
+        ]
+        runs = {
+            key: [getattr(rep, key) for rep in reports]
+            for key in ("p50_ms", "p90_ms", "p99_ms", "fps")
+        }
+        med = {key: float(np.median(values)) for key, values in runs.items()}
         lines.append(
-            f"{name},{rep.p50_ms:.3f},{rep.p90_ms:.3f},{rep.p99_ms:.3f},{rep.fps:.2f}"
+            f"{name},{med['p50_ms']:.3f},{med['p90_ms']:.3f},{med['p99_ms']:.3f},"
+            f"{med['fps']:.2f}"
         )
         print(
-            f"{name:<9} p50 {rep.p50_ms:8.2f} ms   p90 {rep.p90_ms:8.2f} ms   "
-            f"p99 {rep.p99_ms:8.2f} ms   {rep.fps:8.1f} fps"
+            f"{name:<9} p50 {med['p50_ms']:8.2f} ms "
+            f"({min(runs['p50_ms']):.2f}-{max(runs['p50_ms']):.2f})   "
+            f"p90 {med['p90_ms']:8.2f} ms   p99 {med['p99_ms']:8.2f} ms   "
+            f"{med['fps']:8.1f} fps ({min(runs['fps']):.1f}-{max(runs['fps']):.1f})"
         )
+        fps.append(med["fps"])
+    print(f"medians of {BENCH_REPEATS} runs, min-max in brackets")
+    _ensure_parent(args.out)
     with open(args.out, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    if len(rows) == 2:
-        ratio = rows[0][1].fps / rows[1][1].fps
-        print(f"cnn throughput is {ratio:.1f}x the baseline's")
+    if len(fps) == 2:
+        print(f"cnn throughput is {fps[0] / fps[1]:.1f}x the baseline's")
     print(f"report -> {args.out}")
     return 0
 
@@ -363,7 +385,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.threads is not None:
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        for var in BLAS_THREAD_VARS:
             os.environ[var] = str(args.threads)
     _echo(args)
     from .baseline.classify import BaselineFileError

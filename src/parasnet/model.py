@@ -59,7 +59,8 @@ class ForwardCache:
 
     # per stage: the conv input (the batch, then the rectified pooled maps)
     inputs: list[np.ndarray]
-    # per stage: the conv output before ReLU, and relu(maxpool(conv_pre)),
+    # per stage: the conv output before ReLU (a view of the valid region
+    # of its input's grid, see batched.py), and relu(maxpool(conv_pre)),
     # from which backward recomputes the pooling winners
     conv_pre: list[np.ndarray]
     pooled: list[np.ndarray]
@@ -242,12 +243,14 @@ def forward_batch(
     """
     if x.ndim != 4 or x.shape[3] != 1:
         raise ValueError(f"expected input of shape (B, h, w, 1), got {x.shape}")
+    layer_shapes(model.filters, *x.shape[1:3])  # raises for an input too small
     pool = batched.maxpool_forward if want_cache else batched.maxpool_infer
     conv_pre = []
     pooled = []
+    # with one channel, x is already a channel-major map
     h = x
     for k, b in zip(model.conv_kernels, model.conv_biases):
-        a = batched.conv_forward(h, k, b)
+        a = batched.conv_forward(h, k, b)[:, : h.shape[1] - 2, : h.shape[2] - 2]
         # pool, then ReLU on the 4x smaller map: ReLU is monotone, so
         # both orders give exactly the same values
         h = pool(a)
@@ -255,6 +258,8 @@ def forward_batch(
         if want_cache:
             conv_pre.append(a)
             pooled.append(h)
+    # the (batch, h, w, c) view flattens in NHWC order, as the dense
+    # weights expect
     flat = h.reshape(h.shape[0], -1)
     if flat.shape[1] != model.dense1_weights.shape[0]:
         raise ValueError(
@@ -310,10 +315,10 @@ def backward_batch(
     d_pool = d_flat.reshape(pool_out_shape)
     for i in range(4, -1, -1):
         conv_pre = cache.conv_pre[i]
-        d_conv = batched.maxpool_backward(
-            conv_pre.shape, conv_pre, cache.pooled[i], d_pool
-        )
         x = cache.inputs[i]
+        d_conv = batched.maxpool_backward(
+            conv_pre.shape, conv_pre, cache.pooled[i], d_pool, x.shape[1:3]
+        )
         d_pool, d_kernels, d_bias = batched.conv_backward(
             x.shape,
             x,
@@ -360,10 +365,25 @@ def forward(
     return probs[0], hidden[0]
 
 
+def check_savable(model: ParasNetModel) -> None:
+    """Raise ValueError unless a checkpoint can hold the model: the file
+    records only the filter count, so load_checkpoint rebuilds the shapes
+    for the default input size."""
+    shapes = [p.shape for p in parameters(model)]
+    if shapes != parameter_shapes(model.filters):
+        raise ValueError(
+            f"checkpoints hold models for {INPUT_HEIGHT}x{INPUT_WIDTH} input only; "
+            f"this model's dense layer takes {model.dense1_weights.shape[0]} inputs, "
+            f"not {flatten_dim(model.filters)}"
+        )
+
+
 def save_checkpoint(model: ParasNetModel, path: str) -> None:
     """Write the model as a container (see container.py): the filter
     count, parameters() as float32, then metadata led by seed=<init_seed>,
-    so "seed" cannot be a model.meta key."""
+    so "seed" cannot be a model.meta key. Raises ValueError, before the
+    file is opened, for a model check_savable rejects."""
+    check_savable(model)
     container.write(
         path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, model.filters, parameters(model),
         "<f4", [("seed", str(model.init_seed)), *sorted(model.meta.items())],

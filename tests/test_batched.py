@@ -21,9 +21,10 @@ def test_conv_forward_matches_single_image_kernel():
         kernels = rng.standard_normal((3, 3, c_in, n_filters))
         bias = rng.standard_normal(n_filters)
         out = batched.conv_forward(x, kernels, bias)
+        assert out.shape == (b, h, w, n_filters)
         for i in range(b):
             ref = ops.conv2d_valid(x[i], kernels, bias)
-            np.testing.assert_allclose(out[i], ref, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(out[i, :h - 2, :w - 2], ref, rtol=1e-12, atol=1e-12)
 
 
 def test_conv_backward_matches_single_image_kernel():
@@ -36,7 +37,9 @@ def test_conv_backward_matches_single_image_kernel():
             kernels = rng.standard_normal((3, 3, c_in, 3))
             bias = rng.standard_normal(3)
             out = batched.conv_forward(x, kernels, bias)
-            upstream = rng.standard_normal(out.shape)
+            # the output's gradient lies on x's grid, zero outside 5x6
+            upstream = np.zeros(out.shape)
+            upstream[:, :5, :6] = rng.standard_normal((b, 5, 6, 3))
             d_input, d_kernels, d_bias = batched.conv_backward(
                 x.shape, x, kernels, upstream
             )
@@ -44,9 +47,10 @@ def test_conv_backward_matches_single_image_kernel():
             ref_b = np.zeros_like(bias)
             for i in range(b):
                 np.testing.assert_allclose(
-                    out[i], ops.conv2d_valid(x[i], kernels, bias), rtol=1e-12, atol=1e-12
+                    out[i, :5, :6], ops.conv2d_valid(x[i], kernels, bias),
+                    rtol=1e-12, atol=1e-12,
                 )
-                g = ops.conv2d_backward(x[i], kernels, upstream[i])
+                g = ops.conv2d_backward(x[i], kernels, upstream[i, :5, :6])
                 np.testing.assert_allclose(d_input[i], g.d_input, rtol=1e-10, atol=1e-12)
                 ref_k += g.d_params[0]
                 ref_b += g.d_params[1]
@@ -82,12 +86,76 @@ def test_maxpool_matches_single_image_kernel():
             np.testing.assert_array_equal(pooled[i], ops.maxpool_2x2(x[i]))
         np.maximum(pooled, 0, out=pooled)
         upstream = rng.integers(-3, 4, size=pooled.shape).astype(np.float32)
-        d_input = batched.maxpool_backward(x.shape, x, pooled, upstream)
+        d_input = batched.maxpool_backward(x.shape, x, pooled, upstream, (h, w))
         assert d_input.shape == x.shape
         for i in range(b):
             relu = np.maximum(x[i], 0)
             g = ops.maxpool_2x2_backward(relu, upstream[i])
             np.testing.assert_array_equal(d_input[i], g.d_input * (x[i] > 0))
+
+
+def test_maxpool_backward_puts_the_gradient_on_a_larger_grid():
+    # a conv output lies on its input's grid, and so does its gradient
+    rng = np.random.default_rng(10)
+    for h, w in ((7, 9), (8, 8)):
+        x = rng.integers(-2, 3, size=(2, h, w, 3)).astype(np.float32)
+        pooled = np.maximum(batched.maxpool_forward(x), 0)
+        upstream = rng.integers(-3, 4, size=pooled.shape).astype(np.float32)
+        d_grid = batched.maxpool_backward(x.shape, x, pooled, upstream, (h + 2, w + 2))
+        assert d_grid.shape == (2, h + 2, w + 2, 3)
+        expect = np.zeros(d_grid.shape, np.float32)
+        expect[:, :h, :w] = batched.maxpool_backward(x.shape, x, pooled, upstream, (h, w))
+        np.testing.assert_array_equal(d_grid, expect)
+
+
+def test_kernels_match_the_references_across_block_boundaries(monkeypatch):
+    # blocks of a few values split every test map into many blocks, and
+    # each pooling block into single planes
+    monkeypatch.setattr(batched, "_BLOCK_VALUES", 5)
+    test_conv_forward_matches_single_image_kernel()
+    test_conv_backward_matches_single_image_kernel()
+    test_maxpool_matches_single_image_kernel()
+    test_maxpool_infer_matches_single_image_kernel()
+
+
+def _channel_major(x):
+    """The same values as x, stored as a C-contiguous (c, b, h, w) buffer."""
+    return np.ascontiguousarray(x.transpose(3, 0, 1, 2)).transpose(1, 2, 3, 0)
+
+
+def test_kernels_agree_on_nhwc_arrays_and_channel_major_views():
+    rng = np.random.default_rng(11)
+    for c_in in (1, 3):
+        x = rng.standard_normal((2, 9, 11, c_in)).astype(np.float32)
+        kernels = rng.standard_normal((3, 3, c_in, 4)).astype(np.float32)
+        bias = rng.standard_normal(4).astype(np.float32)
+        x_cm = _channel_major(x)
+        assert x_cm.base is not None and x_cm.base.flags.c_contiguous
+
+        out = batched.conv_forward(x, kernels, bias)
+        np.testing.assert_array_equal(batched.conv_forward(x_cm, kernels, bias), out)
+
+        upstream = np.zeros(out.shape, np.float32)
+        upstream[:, :7, :9] = rng.standard_normal((2, 7, 9, 4))
+        plain = batched.conv_backward(x.shape, x, kernels, upstream)
+        viewed = batched.conv_backward(x.shape, x_cm, kernels, _channel_major(upstream))
+        for got, want in zip(viewed, plain):
+            np.testing.assert_array_equal(got, want)
+
+        # conv_forward's output is channel-major; copy it to plain NHWC
+        valid = np.ascontiguousarray(out[:, :7, :9])
+        valid_cm = _channel_major(out)[:, :7, :9]
+        for pool in (batched.maxpool_forward, batched.maxpool_infer):
+            np.testing.assert_array_equal(pool(valid_cm), pool(valid))
+        pooled = np.ascontiguousarray(np.maximum(batched.maxpool_forward(valid), 0))
+        d_pool = rng.standard_normal(pooled.shape).astype(np.float32)
+        np.testing.assert_array_equal(
+            batched.maxpool_backward(
+                valid.shape, valid_cm, _channel_major(pooled), _channel_major(d_pool),
+                (9, 11),
+            ),
+            batched.maxpool_backward(valid.shape, valid, pooled, d_pool, (9, 11)),
+        )
 
 
 def test_maxpool_infer_matches_single_image_kernel():

@@ -1,11 +1,12 @@
 """End-to-end runs of the command line against a micro dataset."""
 
 import os
+import re
 
 import numpy as np
 import pytest
 
-from parasnet import cli, evaluation
+from parasnet import cli, evaluation, pgmio
 from parasnet.model import expected_param_count, load_checkpoint, param_count
 
 
@@ -92,6 +93,26 @@ class TestTrain:
             outputs.append((open(ckpt, "rb").read(), open(history, "rb").read()))
         assert outputs[0] == outputs[1]
 
+    def test_non_default_input_size_fails_before_training(self, tmp_path, capsys):
+        # a checkpoint could not hold a 94x94 model, so train refuses it
+        # up front rather than after the run
+        root = str(tmp_path / "small")
+        images = np.zeros((3, 94, 94, 1), np.float32)
+        labels = np.array([0, 1, 2])
+        for split in ("train", "test"):
+            pgmio.write_dataset(os.path.join(root, split), images, labels, 0)
+        ckpt = tmp_path / "m.pnet"
+        code = cli.main([
+            "train", "--data", root, "--filters", "2", "--epochs", "1",
+            "--ckpt", str(ckpt), "--history", str(tmp_path / "h.csv"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and "244x324" in err[0]
+        assert not ckpt.exists()
+        assert not (tmp_path / "h.csv").exists()
+
     def test_missing_dataset_fails_with_the_path(self, tmp_path, capsys):
         missing = str(tmp_path / "nope")
         code = cli.main(["train", "--data", missing, "--epochs", "1"])
@@ -159,11 +180,23 @@ class TestEval:
             "--images", "2", "--iters", "10", "--warmup", "1",
         ])
         assert code == 0
-        assert "fps" in capsys.readouterr().out
+        printed = capsys.readouterr().out.splitlines()
+        env = [line for line in printed if line.startswith("env ")]
+        assert len(env) == 1
+        for piece in ("nproc=", "OPENBLAS_NUM_THREADS=", "OMP_NUM_THREADS=",
+                      "MKL_NUM_THREADS=", "numpy=", "python="):
+            assert piece in env[0]
+        # median, then the min-max of the three runs, for p50 and fps
+        cnn = [line for line in printed if line.startswith("cnn ")]
+        assert len(cnn) == 1
+        assert re.search(r"p50 +[\d.]+ ms \([\d.]+-[\d.]+\)", cnn[0])
+        assert re.search(r"[\d.]+ fps \([\d.]+-[\d.]+\)", cnn[0])
+        assert "medians of 3 runs, min-max in brackets" in printed
         with open(out) as fh:
             lines = fh.read().splitlines()
         assert lines[0] == "pipeline,p50_ms,p90_ms,p99_ms,fps"
         assert lines[1].startswith("cnn,")
+        assert len(lines) == 2
 
 
 class TestSweep:
@@ -226,7 +259,8 @@ class TestBaselineCommands:
             "--images", "2", "--iters", "10", "--warmup", "1",
         ])
         assert code == 0
-        assert gaps == [None, 0.35]
+        # three timed runs of each pipeline
+        assert gaps == [None, None, None, 0.35, 0.35, 0.35]
 
 
 class TestUsageErrors:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fd import kink_pattern
+from parasnet import batched
 from parasnet import model as pm
 from parasnet import training as tr
 
@@ -133,6 +134,12 @@ class TestForward:
         b, _ = pm.forward_batch(m, x)
         np.testing.assert_array_equal(a, b)
 
+    def test_too_small_input_is_a_value_error(self):
+        m = pm.build_model(2, seed=1)
+        for hw in (3, 40):
+            with pytest.raises(ValueError, match="too small"):
+                pm.forward_batch(m, np.zeros((2, hw, hw, 1), np.float32))
+
     def test_wrong_rank_rejected(self):
         m = pm.build_model(2, seed=1)
         with pytest.raises(ValueError, match="shape"):
@@ -182,6 +189,54 @@ class TestForward:
             for grads in results[i]:
                 for got, want in zip(grads, expected[i], strict=True):
                     np.testing.assert_array_equal(got, want)
+
+
+class TestChannelMajorLayout:
+    def test_inference_bytes_match_the_nhwc_kernels(self):
+        # float32 probabilities recorded from the NHWC kernels the
+        # channel-major ones replaced (numpy 2.4, OpenBLAS 0.3.31, x86-64):
+        # every output sums its taps in the same order as before
+        m = pm.build_model(8, seed=11)
+        x = np.random.default_rng(12).random((3, 244, 324, 1), dtype=np.float32)
+        one, _ = pm.forward_batch(m, x[:1])
+        three, _ = pm.forward_batch(m, x)
+        assert one.tobytes().hex() == "d16cad3e6608b03ec88aa23e"
+        assert three.tobytes().hex() == (
+            "d16cad3e6608b03ec88aa23e09abac3efe0cb03efb47a33edda4ab3e8c88b23e97d2a13e"
+        )
+
+    def test_unused_grid_positions_are_never_read(self, monkeypatch):
+        # conv outputs lie on their input's grid; NaN in the rows and
+        # columns outside the valid region must not reach any result
+        m = pm.build_model(2, seed=4, height=98, width=127)
+        rng = np.random.default_rng(4)
+        x = rng.random((2, 98, 127, 1), dtype=np.float32)
+        d_probs = rng.standard_normal((2, 3)).astype(np.float32)
+
+        def run():
+            probs, _, cache = pm.forward_batch(
+                m, x, mode="train", rng=np.random.default_rng(0), want_cache=True
+            )
+            grads = pm.backward_batch(m, cache, d_probs)
+            inferred, hidden = pm.forward_batch(m, x)
+            return [probs, inferred, hidden, *grads]
+
+        clean = run()
+        conv_forward = batched.conv_forward
+        poisoned = []
+
+        def poisoning(x, kernels, bias):
+            out = conv_forward(x, kernels, bias)
+            out[:, -2:] = np.nan
+            out[:, :, -2:] = np.nan
+            poisoned.append(out.shape)
+            return out
+
+        monkeypatch.setattr(batched, "conv_forward", poisoning)
+        dirty = run()
+        assert len(poisoned) == 10
+        for got, want in zip(dirty, clean, strict=True):
+            assert got.tobytes() == want.tobytes()
 
 
 def _run_two_threads(worker) -> None:
@@ -262,6 +317,15 @@ class TestCheckpoint:
         assert loaded.meta == {"note": "round trip"}
         for a, b in zip(pm.parameters(m), pm.parameters(loaded)):
             assert a.tobytes() == b.tobytes()
+
+    def test_non_default_input_size_is_refused_before_writing(self, tmp_path):
+        # the file records only the filter count, so a 94x94 model would
+        # not read back
+        m = pm.build_model(2, seed=1, height=94, width=94)
+        path = tmp_path / "small.pnet"
+        with pytest.raises(ValueError, match="244x324"):
+            pm.save_checkpoint(m, str(path))
+        assert not path.exists()
 
     def test_save_load_save_is_stable(self, tmp_path):
         m = pm.build_model(4, seed=3)
