@@ -4,6 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
+# Lloyd iterations stop after KMEANS_STEPS, or once an assignment step
+# lowers the objective by no more than KMEANS_TOL of its previous value
+KMEANS_STEPS = 100
+KMEANS_TOL = 1e-6
+
 
 def _closest_sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     d = (
@@ -33,11 +38,7 @@ def kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
 
 
 def kmeans(
-    points: np.ndarray,
-    k: int,
-    seed: int,
-    max_iter: int = 100,
-    tol: float = 1e-6,
+    points: np.ndarray, k: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Lloyd iterations after k-means++ seeding.
 
@@ -55,7 +56,7 @@ def kmeans(
     centers = kmeans_pp_init(points, k, rng)
     history: list[float] = []
     labels = np.zeros(n, dtype=np.int64)
-    for _ in range(max_iter):
+    for _ in range(KMEANS_STEPS):
         dists = _closest_sq_dists(points, centers)
         labels = np.argmin(dists, axis=1)
         objective = float(dists[np.arange(n), labels].sum())
@@ -76,7 +77,7 @@ def kmeans(
         if history[-1] == 0.0:
             centers = new_centers
             break
-        if len(history) >= 2 and history[-2] - history[-1] <= tol * history[-2]:
+        if len(history) >= 2 and history[-2] - history[-1] <= KMEANS_TOL * history[-2]:
             centers = new_centers
             break
         centers = new_centers

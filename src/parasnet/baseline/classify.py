@@ -16,10 +16,14 @@ import numpy as np
 
 from .. import NUM_CLASSES, OTHERS, container
 from . import bow, filters
-from .sift import DESCRIPTOR_SIZE, SiftConfig, detect_and_describe
+from .sift import DESCRIPTOR_SIZE, detect_and_describe
 
 MODEL_MAGIC = b"PBAS"
 MODEL_VERSION = 1
+SVM_LAMBDA = 1e-4
+# share of the training images held out to fit the Platt calibration
+CALIBRATION_FRACTION = 0.25
+PLATT_STEPS = 100
 
 
 class BaselineFileError(Exception):
@@ -66,15 +70,11 @@ def train_linear_svm(
 
 def _platt_objective(scores, t, a, b):
     z = scores * a + b
-    return float(
-        np.sum(np.where(z >= 0, t * z + np.log1p(np.exp(-np.abs(z))),
-                        (t - 1.0) * z + np.log1p(np.exp(-np.abs(z)))))
-    )
+    soft = np.log1p(np.exp(-np.abs(z)))
+    return float(np.sum(np.where(z >= 0, t * z + soft, (t - 1.0) * z + soft)))
 
 
-def fit_platt(
-    scores: np.ndarray, positive: np.ndarray, max_iter: int = 100
-) -> tuple[float, float, list[float]]:
+def fit_platt(scores: np.ndarray, positive: np.ndarray) -> tuple[float, float, list[float]]:
     """Damped Newton fit of p(y=1|s) = 1 / (1 + exp(A s + B)).
 
     Targets are the smoothed frequencies rather than hard 0/1, which
@@ -92,10 +92,8 @@ def fit_platt(
     value = _platt_objective(scores, t, a, b)
     history = [value]
     sigma = 1e-12
-    for _ in range(max_iter):
-        z = scores * a + b
-        ez = np.exp(-np.abs(z))
-        p = np.where(z >= 0, ez / (1.0 + ez), 1.0 / (1.0 + ez))
+    for _ in range(PLATT_STEPS):
+        p = platt_prob(scores, a, b)
         q = 1.0 - p
         d2 = p * q
         h11 = sigma + float(np.sum(scores * scores * d2))
@@ -186,10 +184,7 @@ def svm_scores(model: BaselineModel, hist: np.ndarray) -> np.ndarray:
 def predict_proba_hist(
     model: BaselineModel, hist: np.ndarray, gap_threshold: float = 0.2
 ) -> np.ndarray:
-    scores = svm_scores(model, hist)
-    raw = np.array(
-        [platt_prob(scores[c], model.platt[c, 0], model.platt[c, 1]) for c in range(NUM_CLASSES)]
-    )
+    raw = platt_prob(svm_scores(model, hist), model.platt[:, 0], model.platt[:, 1])
     total = raw.sum()
     p_svm = raw / total if total > 0 else np.full(NUM_CLASSES, 1.0 / NUM_CLASSES)
     top, second = np.sort(p_svm)[::-1][:2]
@@ -204,20 +199,14 @@ def predict_proba_hist(
 class SiftBowClassifier:
     """Full image-to-label pipeline around a trained BaselineModel."""
 
-    def __init__(
-        self,
-        model: BaselineModel,
-        sift_config: SiftConfig | None = None,
-        gap_threshold: float = 0.2,
-    ):
+    def __init__(self, model: BaselineModel, gap_threshold: float = 0.2):
         self.model = model
-        self.sift_config = sift_config or SiftConfig()
         self.gap_threshold = gap_threshold
 
     def histogram(self, image: np.ndarray) -> tuple[np.ndarray, int]:
         """BoW histogram and the number of keypoints behind it."""
         prepared = filters.preprocess(image)
-        _, descriptors = detect_and_describe(prepared, self.sift_config)
+        _, descriptors = detect_and_describe(prepared)
         return bow.bow_histogram(descriptors, self.model.vocabulary), len(descriptors)
 
     def predict_proba_one(self, image: np.ndarray) -> np.ndarray:
@@ -238,9 +227,7 @@ class SiftBowClassifier:
 @dataclass
 class BaselineTrainConfig:
     vocab_size: int = 64
-    svm_lambda: float = 1e-4
     svm_epochs: int = 50
-    calibration_fraction: float = 0.25
     gap_threshold: float = 0.2
     seed: int = 0
 
@@ -249,12 +236,10 @@ def train_baseline(
     images: np.ndarray,
     labels: np.ndarray,
     config: BaselineTrainConfig | None = None,
-    sift_config: SiftConfig | None = None,
     log=None,
 ) -> SiftBowClassifier:
     """Fit vocabulary, calibrated one-vs-rest SVM, and the NB fallback."""
     config = config or BaselineTrainConfig()
-    sift_config = sift_config or SiftConfig()
     if len(images) != len(labels):
         raise ValueError("images and labels disagree in length")
     labels = np.asarray(labels)
@@ -265,7 +250,7 @@ def train_baseline(
     pool = []
     for i, image in enumerate(images):
         prepared = filters.preprocess(image)
-        _, descriptors = detect_and_describe(prepared, sift_config)
+        _, descriptors = detect_and_describe(prepared)
         per_image.append(descriptors)
         if len(descriptors):
             pool.append(descriptors)
@@ -274,7 +259,10 @@ def train_baseline(
     if not pool:
         raise ValueError("no keypoints found anywhere in the training set")
 
-    vocabulary = build_vocab_from_pool(np.concatenate(pool), config)
+    pooled = np.concatenate(pool)
+    vocabulary = bow.build_vocabulary(
+        pooled, k=min(config.vocab_size, len(pooled)), seed=config.seed
+    )
     if log is not None:
         log(f"vocabulary of {len(vocabulary)} words ready")
     hists = np.stack([bow.bow_histogram(d, vocabulary) for d in per_image])
@@ -283,7 +271,7 @@ def train_baseline(
 
     rng = np.random.default_rng(config.seed)
     order = rng.permutation(len(images))
-    n_calib = max(1, int(round(config.calibration_fraction * len(images))))
+    n_calib = max(1, int(round(CALIBRATION_FRACTION * len(images))))
     calib_idx = order[:n_calib]
     main_idx = order[n_calib:]
 
@@ -294,7 +282,7 @@ def train_baseline(
         partial = train_linear_svm(
             augmented[main_idx],
             targets[main_idx],
-            config.svm_lambda,
+            SVM_LAMBDA,
             config.svm_epochs,
             rng,
         )
@@ -302,7 +290,7 @@ def train_baseline(
         a, b, _ = fit_platt(calib_scores, labels[calib_idx] == c)
         platt[c] = (a, b)
         svm_weights[c] = train_linear_svm(
-            augmented, targets, config.svm_lambda, config.svm_epochs, rng
+            augmented, targets, SVM_LAMBDA, config.svm_epochs, rng
         )
         if log is not None:
             log(f"class {c}: svm and calibration fitted")
@@ -316,12 +304,7 @@ def train_baseline(
         nb_vars=variances,
         nb_log_priors=log_priors,
     )
-    return SiftBowClassifier(model, sift_config, config.gap_threshold)
-
-
-def build_vocab_from_pool(pool: np.ndarray, config: BaselineTrainConfig) -> np.ndarray:
-    k = min(config.vocab_size, len(pool))
-    return bow.build_vocabulary(pool, k=k, seed=config.seed)
+    return SiftBowClassifier(model, config.gap_threshold)
 
 
 def save_baseline(model: BaselineModel, path: str) -> None:

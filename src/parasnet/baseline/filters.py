@@ -5,12 +5,11 @@ from __future__ import annotations
 import numpy as np
 
 
-def gaussian_kernel1d(sigma: float, radius: int | None = None) -> np.ndarray:
-    """Normalized 1-d Gaussian, truncated at three sigma by default."""
+def gaussian_kernel1d(sigma: float) -> np.ndarray:
+    """Normalized 1-d Gaussian, truncated at three sigma."""
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    if radius is None:
-        radius = max(1, int(np.ceil(3.0 * sigma)))
+    radius = max(1, int(np.ceil(3.0 * sigma)))
     x = np.arange(-radius, radius + 1, dtype=np.float64)
     k = np.exp(-(x * x) / (2.0 * sigma * sigma))
     return k / k.sum()

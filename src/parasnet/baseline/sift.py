@@ -6,6 +6,12 @@ descriptor. Deliberately simplified relative to full SIFT: no initial
 2x upsampling, no sub-pixel refinement, a single orientation peak, and
 nearest-bin accumulation instead of trilinear interpolation. Those
 shortcuts trade a little matching quality for a lot less code.
+
+The scale-space constants are Lowe's (2004, "Distinctive Image Features
+from Scale-Invariant Keypoints"): base blur SIGMA0 = 1.6, three scales
+per octave, and an input that already carries a blur of ASSUMED_BLUR =
+0.5. Octaves stop below MIN_OCTAVE_SIDE pixels, this implementation's
+own limit.
 """
 
 from __future__ import annotations
@@ -20,16 +26,18 @@ DESCRIPTOR_SIZE = 128
 _SPATIAL_BINS = 4
 _ANGLE_BINS = 8
 _ORI_BINS = 36
+SIGMA0 = 1.6
+SCALES_PER_OCTAVE = 3
+ASSUMED_BLUR = 0.5
+MIN_OCTAVE_SIDE = 16
+# scale ratio between neighbouring levels of an octave
+_LEVEL_STEP = 2.0 ** (1.0 / SCALES_PER_OCTAVE)
 
 
 @dataclass
 class SiftConfig:
-    sigma0: float = 1.6
-    scales_per_octave: int = 3
-    assumed_blur: float = 0.5
     contrast_thresh: float = 0.03
     edge_ratio: float = 10.0
-    min_octave_side: int = 16
     # on small microscopy crops the very coarse octaves respond to whole
     # organisms rather than local texture, so the pyramid stops early
     max_octaves: int = 3
@@ -51,21 +59,20 @@ def build_pyramid(image: np.ndarray, cfg: SiftConfig) -> list[np.ndarray]:
     """Gaussian octaves; each is (levels, h, w) with levels = scales + 3."""
     if image.ndim != 2:
         raise ValueError(f"expected a 2-d image, got shape {image.shape}")
-    n_levels = cfg.scales_per_octave + 3
-    k = 2.0 ** (1.0 / cfg.scales_per_octave)
-    sigmas = [cfg.sigma0 * k**s for s in range(n_levels)]
+    n_levels = SCALES_PER_OCTAVE + 3
+    sigmas = [SIGMA0 * _LEVEL_STEP**s for s in range(n_levels)]
 
-    first_blur = np.sqrt(max(cfg.sigma0**2 - cfg.assumed_blur**2, 0.01))
+    first_blur = np.sqrt(max(SIGMA0**2 - ASSUMED_BLUR**2, 0.01))
     current = gaussian_blur(image.astype(np.float64), first_blur)
     octaves = []
-    while min(current.shape) >= cfg.min_octave_side and len(octaves) < cfg.max_octaves:
+    while min(current.shape) >= MIN_OCTAVE_SIDE and len(octaves) < cfg.max_octaves:
         levels = [current]
         for s in range(1, n_levels):
             diff = np.sqrt(sigmas[s] ** 2 - sigmas[s - 1] ** 2)
             levels.append(gaussian_blur(levels[-1], diff))
         octaves.append(np.stack(levels))
         # the level at twice the base blur seeds the next octave
-        current = levels[cfg.scales_per_octave][::2, ::2]
+        current = levels[SCALES_PER_OCTAVE][::2, ::2]
     return octaves
 
 
@@ -157,14 +164,11 @@ def _descriptor(mag, ang, y, x, sigma_rel, orientation) -> np.ndarray:
     # keypoint frame: first axis along the orientation, second normal to it
     sample_x = x + a * cos_t - b * sin_t
     sample_y = y + a * sin_t + b * cos_t
-    sy = np.clip(np.rint(sample_y).astype(int), 0, h - 1)
-    sx = np.clip(np.rint(sample_x).astype(int), 0, w - 1)
-    inside = (
-        (np.rint(sample_y) >= 0)
-        & (np.rint(sample_y) < h)
-        & (np.rint(sample_x) >= 0)
-        & (np.rint(sample_x) < w)
-    )
+    ry = np.rint(sample_y)
+    rx = np.rint(sample_x)
+    sy = np.clip(ry.astype(int), 0, h - 1)
+    sx = np.clip(rx.astype(int), 0, w - 1)
+    inside = (ry >= 0) & (ry < h) & (rx >= 0) & (rx < w)
     m = mag[sy, sx] * inside
     theta = np.mod(ang[sy, sx] - orientation + np.pi, 2 * np.pi)
     weight = np.exp(-(a * a + b * b) / (2.0 * (8.0 * spacing) ** 2))
@@ -196,7 +200,6 @@ def detect_and_describe(
             f"image too small for keypoint detection: {image.shape[1]}x{image.shape[0]}"
         )
     octaves = build_pyramid(image, cfg)
-    k = 2.0 ** (1.0 / cfg.scales_per_octave)
 
     candidates = []
     for oct_idx, levels in enumerate(octaves):
@@ -214,7 +217,7 @@ def detect_and_describe(
         if key not in grads:
             grads[key] = _gradients(octaves[oct_idx][lev])
         mag, ang = grads[key]
-        sigma_rel = cfg.sigma0 * k**lev
+        sigma_rel = SIGMA0 * _LEVEL_STEP**lev
         orientation = _orientation(mag, ang, y, x, sigma_rel)
         desc = _descriptor(mag, ang, y, x, sigma_rel, orientation)
         scale = 2.0**oct_idx

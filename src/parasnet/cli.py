@@ -47,6 +47,18 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _gap_threshold(text: str) -> float:
+    """The baseline's naive Bayes blending gap: a number in [0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    # NaN fails the comparison too
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"expected a number in [0, 1], got {text!r}")
+    return value
+
+
 def _filter_list(text: str) -> list[int]:
     try:
         values = [int(part) for part in text.split(",") if part]
@@ -136,8 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="visual vocabulary size")
     p.add_argument("--svm-epochs", type=_positive_int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--gap", type=float, default=0.2,
-                   help="confidence gap under which naive Bayes blends in")
+    p.add_argument("--gap", type=_gap_threshold, default=0.2,
+                   help="confidence gap in [0, 1] under which naive Bayes blends in")
     p.add_argument("--out", default=os.path.join(out, "baseline.pbas"))
     p.set_defaults(func=_cmd_baseline_train)
 
@@ -304,7 +316,10 @@ def _load_baseline(path: str):
     from .baseline import classify
 
     model = classify.load_baseline(path)
-    gap = float(model.meta.get("gap_threshold", 0.2))
+    try:
+        gap = _gap_threshold(model.meta.get("gap_threshold", "0.2"))
+    except argparse.ArgumentTypeError as err:
+        raise classify.BaselineFileError(f"{path}: gap_threshold: {err}") from None
     return classify.SiftBowClassifier(model, gap_threshold=gap)
 
 

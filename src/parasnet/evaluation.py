@@ -137,7 +137,6 @@ def filter_sweep(
     test_labels: np.ndarray,
     config: tr.TrainConfig,
     init_seed: int = 0,
-    log=None,
 ) -> SweepResult:
     """Train one model per width and keep each run's accuracy peak.
 
@@ -150,8 +149,7 @@ def filter_sweep(
     for filters in filter_counts:
         model = pm.build_model(filters, seed=init_seed, height=height, width=width)
         report = tr.fit(
-            model, train_images, train_labels, test_images, test_labels, config,
-            log=log,
+            model, train_images, train_labels, test_images, test_labels, config
         )
         result.rows.append(
             SweepRow(

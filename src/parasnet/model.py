@@ -66,7 +66,6 @@ class ForwardCache:
     pooled: list[np.ndarray]
     flat: np.ndarray
     dense1_pre: np.ndarray
-    hidden: np.ndarray
     drop_mask: np.ndarray | None
     dropped: np.ndarray
     probs: np.ndarray
@@ -279,7 +278,6 @@ def forward_batch(
         pooled=pooled,
         flat=flat,
         dense1_pre=dense1_pre,
-        hidden=hidden,
         drop_mask=mask,
         dropped=dropped,
         probs=probs,
@@ -352,16 +350,11 @@ def forward_images(
     )
 
 
-def forward(
-    model: ParasNetModel,
-    image: np.ndarray,
-    mode: str = "infer",
-    rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Single-image forward pass. Returns (probs, hidden)."""
+def forward(model: ParasNetModel, image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Single-image inference. Returns (probs, hidden)."""
     if image.ndim != 3:
         raise ValueError(f"expected image of shape (h, w, 1), got {image.shape}")
-    probs, hidden = forward_batch(model, image[None], mode=mode, rng=rng)
+    probs, hidden = forward_batch(model, image[None])
     return probs[0], hidden[0]
 
 

@@ -28,6 +28,10 @@ def write_pgm(path: str, image: np.ndarray) -> None:
         raise ValueError(f"expected a 2-d image, got shape {image.shape}")
     if image.size == 0:
         raise ValueError("refusing to write an empty image")
+    # the min and max of an array holding NaN are NaN, which would pass
+    # the range test below
+    if not np.isfinite(image).all():
+        raise ValueError("pixel values must be finite")
     lo, hi = float(image.min()), float(image.max())
     if lo < 0.0 or hi > 1.0:
         raise ValueError(f"pixel values must lie in [0, 1], found [{lo}, {hi}]")

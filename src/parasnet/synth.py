@@ -83,9 +83,6 @@ class GenConfig:
                 f"in a {self.height}x{self.width} frame"
             )
 
-    def contrast_for(self, label: int) -> tuple[float, float]:
-        return (self.others_contrast, self.crypto_contrast, self.giardia_contrast)[label]
-
 
 @dataclass
 class Dataset:
@@ -106,7 +103,7 @@ def _uniform(rng: np.random.Generator, bounds: tuple[float, float]) -> float:
     return float(rng.uniform(bounds[0], bounds[1]))
 
 
-def _elliptic_radius(rng, cfg, height, width, radius_range, ecc_range, extra_reach):
+def _elliptic_radius(rng, height, width, radius_range, ecc_range, extra_reach):
     """Common setup: placed, rotated elliptical radius field.
 
     Returns (re, u, v, r0, ecc) where re equals r0 on the object
@@ -131,7 +128,7 @@ def _render_crypto(rng: np.random.Generator, cfg: GenConfig) -> np.ndarray:
     period = _uniform(rng, cfg.crypto_period)
     amp = _uniform(rng, cfg.crypto_contrast)
     re, u, v, r0, ecc = _elliptic_radius(
-        rng, cfg, cfg.height, cfg.width, cfg.crypto_radius, cfg.crypto_ecc, period
+        rng, cfg.height, cfg.width, cfg.crypto_radius, cfg.crypto_ecc, period
     )
     # the double wall is drawn as soft ridges plus bead-like spots sitting
     # on the inner ring; each bead on its own looks just like one of the
@@ -156,7 +153,7 @@ def _render_giardia(rng: np.random.Generator, cfg: GenConfig) -> np.ndarray:
     period = _uniform(rng, cfg.giardia_period)
     amp = _uniform(rng, cfg.giardia_contrast)
     re, u, v, r0, _ = _elliptic_radius(
-        rng, cfg, cfg.height, cfg.width, cfg.giardia_radius, cfg.giardia_ecc, 0.0
+        rng, cfg.height, cfg.width, cfg.giardia_radius, cfg.giardia_ecc, 0.0
     )
     phase = float(rng.uniform(0.0, 2 * np.pi))
     envelope = 0.5 * (1.0 + np.tanh((r0 - re) / 4.0))

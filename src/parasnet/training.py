@@ -16,6 +16,8 @@ import numpy as np
 from . import model as pm
 
 PROB_CLAMP = 1e-7
+# fit's step size is learning_rate * LR_DECAY**t after t updates
+LR_DECAY = 0.9999
 
 
 @dataclass
@@ -166,10 +168,6 @@ class TrainConfig:
     # single-core machines this is tuned for; larger ones train slower here
     batch_size: int = 8
     learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    lr_decay: float = 0.9999
     dropout_rate: float = 0.5
     seed: int = 0
     augment: AugmentConfig | None = field(default_factory=AugmentConfig)
@@ -268,16 +266,7 @@ def fit(
             )
             loss, d_probs = bce_loss_batch(probs, yb)
             grads = pm.backward_batch(model, cache, d_probs)
-            adam_step(
-                params,
-                grads,
-                state,
-                lr=config.learning_rate,
-                beta1=config.beta1,
-                beta2=config.beta2,
-                epsilon=config.epsilon,
-                decay=config.lr_decay,
-            )
+            adam_step(params, grads, state, lr=config.learning_rate, decay=LR_DECAY)
             loss_sum += loss * len(batch)
         preds = predict_labels(model, test_images)
         accuracy = float(np.mean(preds == test_labels)) if len(test_labels) else 0.0

@@ -4,6 +4,12 @@ No tree approximations: P and Q are full N x N matrices, which caps
 the practical input size but keeps the gradient simple enough to
 verify numerically. The per-point bandwidths come from a binary search
 matching each conditional distribution's entropy to log(perplexity).
+
+The optimisation schedule is fixed. The exaggeration factor, the
+momentum switch from 0.5 to 0.8 at iteration 250 and the per-coordinate
+gains (Jacobs 1988) follow van der Maaten & Hinton 2008, "Visualizing
+Data using t-SNE"; the step size of 200 and the 100 exaggerated
+iterations are this implementation's own fixed choices.
 """
 
 from __future__ import annotations
@@ -14,18 +20,21 @@ import numpy as np
 
 MAX_POINTS = 5000
 P_FLOOR = 1e-12
+# the bandwidth search stops once the entropy is this close to the target
+ENTROPY_TOL = 1e-4
+BANDWIDTH_STEPS = 64
+LEARNING_RATE = 200.0
+EARLY_EXAGGERATION = 4.0
+EXAGGERATION_ITERS = 100
+MOMENTUM_SWITCH_ITER = 250
+INITIAL_MOMENTUM = 0.5
+FINAL_MOMENTUM = 0.8
 
 
 @dataclass
 class TsneConfig:
     perplexity: float = 30.0
     iterations: int = 1000
-    learning_rate: float = 200.0
-    early_exaggeration: float = 4.0
-    exaggeration_iters: int = 100
-    momentum_switch_iter: int = 250
-    initial_momentum: float = 0.5
-    final_momentum: float = 0.8
     seed: int = 0
 
 
@@ -52,9 +61,7 @@ def _entropy(p: np.ndarray) -> float:
     return float(-np.sum(nz * np.log(nz)))
 
 
-def conditional_probs(
-    dists: np.ndarray, perplexity: float, tol: float = 1e-4, max_iter: int = 64
-) -> np.ndarray:
+def conditional_probs(dists: np.ndarray, perplexity: float) -> np.ndarray:
     """Per-row bandwidth search. Row i holds p(j | i), diagonal zero."""
     n = dists.shape[0]
     target = np.log(perplexity)
@@ -62,10 +69,10 @@ def conditional_probs(
     for i in range(n):
         beta, beta_lo, beta_hi = 1.0, 0.0, np.inf
         row = dists[i].copy()
-        for _ in range(max_iter):
+        for _ in range(BANDWIDTH_STEPS):
             p = _row_probs(row, beta, i)
             gap = _entropy(p) - target
-            if abs(gap) < tol:
+            if abs(gap) < ENTROPY_TOL:
                 break
             if gap > 0:
                 # entropy too high: sharpen by raising beta
@@ -146,17 +153,13 @@ def tsne(features: np.ndarray, config: TsneConfig | None = None) -> np.ndarray:
     gains = np.ones_like(y)
 
     for it in range(config.iterations):
-        exaggerate = it < config.exaggeration_iters
-        grad = kl_gradient(p * config.early_exaggeration if exaggerate else p, y)
-        momentum = (
-            config.initial_momentum
-            if it < config.momentum_switch_iter
-            else config.final_momentum
-        )
+        exaggerate = it < EXAGGERATION_ITERS
+        grad = kl_gradient(p * EARLY_EXAGGERATION if exaggerate else p, y)
+        momentum = INITIAL_MOMENTUM if it < MOMENTUM_SWITCH_ITER else FINAL_MOMENTUM
         same_sign = np.sign(grad) == np.sign(update)
         gains = np.where(same_sign, gains * 0.8, gains + 0.2)
         np.maximum(gains, 0.01, out=gains)
-        update = momentum * update - config.learning_rate * gains * grad
+        update = momentum * update - LEARNING_RATE * gains * grad
         y = y + update
         y = y - y.mean(axis=0)
     return y

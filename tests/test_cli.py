@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from parasnet import cli, evaluation, pgmio
+from parasnet.baseline import classify
 from parasnet.model import expected_param_count, load_checkpoint, param_count
 
 
@@ -261,6 +262,60 @@ class TestBaselineCommands:
         assert code == 0
         # three timed runs of each pipeline
         assert gaps == [None, None, None, 0.35, 0.35, 0.35]
+
+
+BAD_GAPS = ["nan", "inf", "5", "-1", "abc"]
+
+
+@pytest.fixture(scope="module")
+def baseline_model(dataset, tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("baseline") / "b.pbas")
+    code = cli.main([
+        "baseline-train", "--data", dataset, "--vocab", "8", "--svm-epochs", "5",
+        "--out", path,
+    ])
+    assert code == 0
+    return path
+
+
+class TestGapThreshold:
+    @pytest.mark.parametrize("gap", BAD_GAPS)
+    def test_eval_rejects_a_stored_gap_outside_the_unit_interval(
+        self, dataset, baseline_model, tmp_path, capsys, gap
+    ):
+        model = classify.load_baseline(baseline_model)
+        model.meta["gap_threshold"] = gap
+        path = str(tmp_path / "bad.pbas")
+        classify.save_baseline(model, path)
+        out = tmp_path / "bc.csv"
+        code = cli.main([
+            "baseline-eval", "--model", path, "--data", dataset, "--out", str(out),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert path in err and "gap_threshold" in err and repr(gap) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("gap", BAD_GAPS)
+    def test_train_rejects_a_gap_outside_the_unit_interval_before_training(
+        self, dataset, tmp_path, capsys, gap
+    ):
+        out = tmp_path / "b.pbas"
+        with pytest.raises(SystemExit) as err:
+            cli.main(["baseline-train", "--data", dataset, "--gap", gap, "--out", str(out)])
+        assert err.value.code == 2
+        assert "[0, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("gap", ["0", "1"])
+    def test_eval_accepts_a_stored_gap_in_the_unit_interval(
+        self, dataset, baseline_model, tmp_path, gap
+    ):
+        model = classify.load_baseline(baseline_model)
+        model.meta["gap_threshold"] = gap
+        path = str(tmp_path / "ok.pbas")
+        classify.save_baseline(model, path)
+        assert cli._load_baseline(path).gap_threshold == float(gap)
 
 
 class TestUsageErrors:

@@ -7,7 +7,9 @@ FileNotFoundError when a listed image is missing), a checkpoint only
 CheckpointError and a baseline model only BaselineFileError. Any other
 exception, a MemoryError included, fails the test. Metadata saved with
 either binary format must read back unchanged, or the save must raise
-ValueError.
+ValueError. Likewise an image, NaN and infinite pixels included, must
+read back from write_pgm's file, or write_pgm must raise ValueError
+before it creates the file.
 """
 
 import json
@@ -17,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from parasnet import CLASS_NAMES, pgmio
 from parasnet import model as pm
@@ -165,6 +168,33 @@ def test_baseline_save_rejects_unreadable_metadata_before_writing(tmp_path, meta
     with pytest.raises(ValueError, match="would not read back"):
         classify.save_baseline(_baseline(meta), str(path))
     assert not path.exists()
+
+
+pgm_images = arrays(
+    np.float64,
+    st.tuples(st.integers(1, 4), st.integers(1, 5)),
+    elements=st.one_of(
+        st.floats(0.0, 1.0), st.floats(), st.sampled_from([np.nan, np.inf, -np.inf])
+    ),
+)
+
+
+@FAST
+@given(image=pgm_images)
+def test_pgm_round_trips_or_write_raises_before_opening(workdir, image):
+    path = workdir / "written.pgm"
+    if path.exists():
+        path.unlink()
+    # NaN fails both comparisons, so it counts as out of range
+    in_range = bool(((image >= 0.0) & (image <= 1.0)).all())
+    try:
+        pgmio.write_pgm(str(path), image)
+    except ValueError:
+        assert not in_range and not path.exists()
+        return
+    assert in_range
+    expected = np.rint(image * 255.0).astype(np.uint8).astype(np.float32) / np.float32(255.0)
+    np.testing.assert_array_equal(pgmio.read_pgm(str(path)), expected)
 
 
 pgm_headers = st.builds(

@@ -35,6 +35,15 @@ class TestWriteRead:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             pgmio.write_pgm(str(tmp_path / "bad.pgm"), np.full((2, 2), 1.5))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixel_rejected_before_the_file_opens(self, tmp_path, bad):
+        img = np.full((4, 4), 0.5, dtype=np.float32)
+        img[1, 2] = bad
+        path = tmp_path / "bad.pgm"
+        with pytest.raises(ValueError, match="finite"):
+            pgmio.write_pgm(str(path), img)
+        assert not path.exists()
+
     def test_empty_image_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="empty"):
             pgmio.write_pgm(str(tmp_path / "bad.pgm"), np.zeros((0, 5)))
