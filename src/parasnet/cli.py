@@ -47,13 +47,25 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _float(text: str) -> float:
+    """text as a float, or NaN, which fails every range test, for text
+    that is not a number."""
+    try:
+        return float(text)
+    except ValueError:
+        return float("nan")
+
+
+def _positive_finite(text: str) -> float:
+    value = _float(text)
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
+    return value
+
+
 def _gap_threshold(text: str) -> float:
     """The baseline's naive Bayes blending gap: a number in [0, 1]."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = float("nan")
-    # NaN fails the comparison too
+    value = _float(text)
     if not 0.0 <= value <= 1.0:
         raise argparse.ArgumentTypeError(f"expected a number in [0, 1], got {text!r}")
     return value
@@ -80,10 +92,10 @@ def build_parser() -> argparse.ArgumentParser:
     train_opts = argparse.ArgumentParser(add_help=False)
     train_opts.add_argument("--epochs", type=_positive_int, default=30)
     train_opts.add_argument("--batch", type=_positive_int, default=8)
-    train_opts.add_argument("--lr", type=float, default=0.001)
+    train_opts.add_argument("--lr", type=_positive_finite, default=0.001)
     train_opts.add_argument("--seed", type=int, default=0)
     train_opts.add_argument("--no-augment", action="store_true",
-                            help="disable flips and shifts during training")
+                            help="disable shifts, flips, rotations and zooms during training")
 
     parser = argparse.ArgumentParser(
         prog="parasnet", description=__doc__.split("\n", 1)[0]

@@ -24,10 +24,15 @@ def write(
 ) -> None:
     """Write arrays and ordered metadata pairs to path.
 
-    Raises ValueError, before the file is opened, for metadata that
-    would not read back as written: a repeated key, "=" in a key, or a
+    Raises ValueError, before the file is opened, for data that would
+    not read back as written: an array holding a non-finite value once
+    cast to dtype, or metadata with a repeated key, "=" in a key, or a
     line break (any that str.splitlines knows) in a key or value.
     """
+    blobs = [np.ascontiguousarray(array, dtype=dtype) for array in arrays]
+    for i, blob in enumerate(blobs):
+        if not np.isfinite(blob).all():
+            raise ValueError(f"array {i} holds non-finite values as {dtype}")
     lines = []
     seen = set()
     for key, value in meta:
@@ -39,8 +44,8 @@ def write(
     text = "\n".join(lines).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(magic + struct.pack("<II", version, count))
-        for array in arrays:
-            fh.write(np.ascontiguousarray(array, dtype=dtype).tobytes())
+        for blob in blobs:
+            fh.write(blob.tobytes())
         fh.write(struct.pack("<I", len(text)) + text)
 
 

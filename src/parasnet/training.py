@@ -96,15 +96,74 @@ class AugmentConfig:
     zoom_range: tuple[float, float] = (0.9, 1.1)
 
 
-def _resample_nn(img: np.ndarray, src_y: np.ndarray, src_x: np.ndarray, fill: float) -> np.ndarray:
-    """Nearest-neighbour lookup; src arrays may be broadcastable to (h, w)."""
+# _resample_nn fills this many output rows at a time, so that its
+# temporaries stay in cache rather than spanning the whole image
+RESAMPLE_ROWS = 64
+
+
+def _resample_nn(
+    img: np.ndarray,
+    src_y: Callable[[slice], np.ndarray],
+    src_x: Callable[[slice], np.ndarray],
+    fill: float,
+) -> np.ndarray:
+    """Nearest-neighbour resample of an (h, w) image.
+
+    src_y(rows) and src_x(rows) give the source coordinates of the
+    output rows in the slice, as arrays that broadcast to (rows, w).
+    Each output pixel takes the image value at the rounded coordinates,
+    or fill where they lie outside the image.
+    """
     h, w = img.shape
-    sy = np.rint(src_y).astype(np.intp)
-    sx = np.rint(src_x).astype(np.intp)
-    valid = (sy >= 0) & (sy < h) & ((sx >= 0) & (sx < w))
-    out = img[np.clip(sy, 0, h - 1), np.clip(sx, 0, w - 1)]
-    out[~np.broadcast_to(valid, out.shape)] = fill
+    src = np.ravel(img)
+    out = np.empty((h, w), img.dtype)
+    for start in range(0, h, RESAMPLE_ROWS):
+        rows = slice(start, start + RESAMPLE_ROWS)
+        ry = np.rint(src_y(rows))
+        rx = np.rint(src_x(rows))
+        outside = (ry < 0) | (ry >= h) | ((rx < 0) | (rx >= w))
+        # whole floats below 2**53 cast to the index exactly; take clips
+        # an index outside the image, and its pixel is then filled
+        flat = (ry * w + rx).astype(np.intp)
+        block = out[rows]
+        src.take(flat, out=block, mode="clip")
+        block[outside] = fill
     return out
+
+
+# _median sorts a strided sample of about this many values to bracket
+# the middle of the array
+MEDIAN_SAMPLE = 4096
+
+
+def _median(values: np.ndarray) -> float:
+    """float(np.median(values)), partitioning only the values near the middle.
+
+    A strided sample's median, widened by three standard errors of its
+    rank (sqrt(m)/2 for a sample of m), brackets the middle; the values
+    inside are partitioned and the one or two middle ones averaged with
+    np.mean, as np.median does, so the result is the same float (np.mean
+    returns +0.0 for any zeros, so which zero a partition puts in the
+    middle does not matter). When the bracket misses the middle or a
+    NaN is present, np.median runs.
+    """
+    x = np.ravel(values)
+    n = x.size
+    k_lo, k_hi = (n - 1) // 2, n // 2
+    sample = np.sort(x[:: max(n // MEDIAN_SAMPLE, 1)])
+    m = sample.size
+    if m and not np.isnan(x.max()):
+        margin = 3 * int(np.sqrt(m)) // 2 + 1
+        lo = sample[max((m - 1) // 2 - margin, 0)]
+        hi = sample[min(m // 2 + margin, m - 1)]
+        from_lo = x >= lo
+        # with no NaN, every value not from lo up lies below it
+        below = n - np.count_nonzero(from_lo)
+        inside = x.take(np.flatnonzero(from_lo & (x <= hi)))
+        if below <= k_lo and k_hi < below + inside.size:
+            middle = [k_lo - below, k_hi - below]
+            return float(np.mean(np.partition(inside, middle)[middle]))
+    return float(np.median(x))
 
 
 def _shift(img: np.ndarray, dy: int, dx: int, fill: float) -> np.ndarray:
@@ -126,6 +185,15 @@ def augment(image: np.ndarray, cfg: AugmentConfig, rng: np.random.Generator) -> 
     Resampling is nearest-neighbour and uncovered pixels take the image
     median. All random draws happen up front in a fixed order, so a
     seeded generator gives a reproducible transform.
+
+    The pixels and dtype are exactly those of the plain form, which
+    indexes the image with rounded, clipped (row, column) arrays and
+    fills with np.median: each source coordinate is the same float64
+    sum, rounded the same way; a range test on whole floats agrees with
+    one on their integer casts; row * w + column addresses the element
+    that 2-d indexing reads; the pixels whose flat index take clips are
+    the outside ones, which are then filled; and _median returns
+    np.median's value. Working in row blocks changes no arithmetic.
     """
     if image.ndim != 3 or image.shape[2] != 1:
         raise ValueError(f"expected (h, w, 1) image, got {image.shape}")
@@ -140,7 +208,7 @@ def augment(image: np.ndarray, cfg: AugmentConfig, rng: np.random.Generator) -> 
     zoom = float(rng.uniform(cfg.zoom_range[0], cfg.zoom_range[1]))
 
     img = image[:, :, 0]
-    fill = float(np.median(img))
+    fill = _median(img)
     out = _shift(img, dy, dx, fill)
     if flip_lr:
         out = out[:, ::-1]
@@ -151,13 +219,12 @@ def augment(image: np.ndarray, cfg: AugmentConfig, rng: np.random.Generator) -> 
     if angle != 0.0:
         theta = np.deg2rad(angle)
         cos_t, sin_t = np.cos(theta), np.sin(theta)
-        sy = cy + (yy - cy) * cos_t + (xx - cx) * sin_t
-        sx = cx - (yy - cy) * sin_t + (xx - cx) * cos_t
-        out = _resample_nn(out, sy, sx, fill)
+        y0, y1 = cy + (yy - cy) * cos_t, (xx - cx) * sin_t
+        x0, x1 = cx - (yy - cy) * sin_t, (xx - cx) * cos_t
+        out = _resample_nn(out, lambda rows: y0[rows] + y1, lambda rows: x0[rows] + x1, fill)
     if zoom != 1.0:
-        sy = cy + (yy - cy) / zoom
-        sx = cx + (xx - cx) / zoom
-        out = _resample_nn(out, sy, sx, fill)
+        zy, zx = cy + (yy - cy) / zoom, cx + (xx - cx) / zoom
+        out = _resample_nn(out, lambda rows: zy[rows], lambda rows: zx, fill)
     return np.ascontiguousarray(out)[:, :, None]
 
 

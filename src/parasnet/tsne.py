@@ -128,6 +128,8 @@ def _validate(features: np.ndarray, config: TsneConfig) -> None:
         raise ValueError(
             f"{n} points exceeds the exact-method limit of {MAX_POINTS}"
         )
+    if not np.isfinite(config.perplexity):
+        raise ValueError(f"perplexity must be finite, got {config.perplexity}")
     if config.perplexity < 2.0:
         raise ValueError(f"perplexity {config.perplexity} too small")
     if n < 3 * config.perplexity:

@@ -239,14 +239,35 @@ class TestModelFile:
             load_baseline(path)
 
     def test_non_finite_arrays_are_rejected(self, tmp_path):
+        import struct
+
+        # save_baseline refuses such a model, so the value goes into the
+        # bytes of a saved file: the first value of the named array
         path = str(tmp_path / "model.pbas")
+        model = toy_model()
+        save_baseline(model, path)
+        blob = open(path, "rb").read()
+        layout = classify._model_arrays(model.vocab_size)
+        names = [name for name, _ in layout]
+        sizes = [int(np.prod(shape)) for _, shape in layout]
         for value in (np.nan, np.inf, -np.inf):
             for name in ("vocabulary", "nb_log_priors"):
-                model = toy_model()
-                getattr(model, name).flat[0] = value
-                save_baseline(model, path)
+                offset = 12 + 8 * sum(sizes[: names.index(name)])
+                open(path, "wb").write(
+                    blob[:offset] + struct.pack("<d", value) + blob[offset + 8:]
+                )
                 with pytest.raises(BaselineFileError, match=f"{name} holds non-finite"):
                     load_baseline(path)
+
+    def test_non_finite_arrays_are_refused_before_writing(self, tmp_path):
+        path = tmp_path / "model.pbas"
+        for value in (np.nan, np.inf, -np.inf):
+            for index, name in ((0, "vocabulary"), (5, "nb_log_priors")):
+                model = toy_model()
+                getattr(model, name).flat[0] = value
+                with pytest.raises(ValueError, match=f"array {index} holds non-finite"):
+                    save_baseline(model, str(path))
+                assert not path.exists()
 
     def test_absurd_vocab_size_is_rejected(self, tmp_path):
         import struct

@@ -120,6 +120,18 @@ class TestTrain:
         assert code == 1
         assert missing in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lr", ["nan", "inf", "-inf", "0", "-0.1", "abc"])
+    def test_lr_must_be_positive_and_finite(self, dataset, tmp_path, capsys, lr):
+        ckpt = tmp_path / "m.pnet"
+        with pytest.raises(SystemExit) as err:
+            cli.main([
+                "train", "--data", dataset, "--filters", "2", "--epochs", "1",
+                f"--lr={lr}", "--ckpt", str(ckpt), "--history", str(tmp_path / "h.csv"),
+            ])
+        assert err.value.code == 2
+        assert "positive finite number" in capsys.readouterr().err
+        assert not ckpt.exists()
+
     def test_echoes_resolved_config(self, dataset, tmp_path, capsys):
         cli.main([
             "train", "--data", dataset, "--filters", "2", "--epochs", "1",
@@ -173,6 +185,20 @@ class TestEval:
             lines = fh.read().splitlines()
         assert lines[0] == "x,y,label"
         assert len(lines) == 1 + 6
+
+    @pytest.mark.parametrize("perplexity", ["nan", "inf"])
+    def test_embed_rejects_a_non_finite_perplexity(
+        self, dataset, ckpt, tmp_path, capsys, perplexity
+    ):
+        out = tmp_path / "e.csv"
+        code = cli.main([
+            "embed", "--ckpt", ckpt, "--data", dataset, "--out", str(out),
+            "--perplexity", perplexity, "--iters", "5",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "perplexity must be finite" in err
+        assert not out.exists()
 
     def test_bench_reports_the_cnn(self, dataset, ckpt, tmp_path, capsys):
         out = str(tmp_path / "b.csv")

@@ -9,7 +9,8 @@ exception, a MemoryError included, fails the test. Metadata saved with
 either binary format must read back unchanged, or the save must raise
 ValueError. Likewise an image, NaN and infinite pixels included, must
 read back from write_pgm's file, or write_pgm must raise ValueError
-before it creates the file.
+before it creates the file, and so must the container writer behind
+both binary formats for an array that is not finite in the file dtype.
 """
 
 import json
@@ -21,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from parasnet import CLASS_NAMES, pgmio
+from parasnet import CLASS_NAMES, container, pgmio
 from parasnet import model as pm
 from parasnet.baseline import classify
 
@@ -168,6 +169,27 @@ def test_baseline_save_rejects_unreadable_metadata_before_writing(tmp_path, meta
     with pytest.raises(ValueError, match="would not read back"):
         classify.save_baseline(_baseline(meta), str(path))
     assert not path.exists()
+
+
+@FAST
+@given(values=arrays(np.float64, st.integers(1, 6), elements=st.one_of(
+    st.floats(), st.sampled_from([np.nan, np.inf, -np.inf, 1e39, -1e39]))))
+def test_container_arrays_read_back_or_write_raises(workdir, values):
+    path = workdir / "values.bin"
+    if path.exists():
+        path.unlink()
+    with np.errstate(over="ignore"):
+        stored = values.astype("<f4")
+        try:
+            container.write(str(path), b"TEST", 1, values.size, [values], "<f4", [])
+        except ValueError:
+            assert not np.isfinite(stored).all()
+            assert not path.exists()
+            return
+    _, arrays_read, _ = container.read(
+        str(path), b"TEST", 1, "count", lambda n: [("values", (n,))], "<f4", (ValueError,) * 4
+    )
+    assert arrays_read["values"].tobytes() == stored.tobytes()
 
 
 pgm_images = arrays(

@@ -391,14 +391,31 @@ class TestCheckpoint:
             pm.load_checkpoint(path)
 
     def test_non_finite_parameters_rejected(self, tmp_path):
+        # save_checkpoint refuses such a model, so the value goes into the
+        # bytes of a saved file: the first value of tensor `index`
         path = str(tmp_path / "nan.pnet")
+        m = pm.build_model(1, seed=0)
+        pm.save_checkpoint(m, path)
+        blob = open(path, "rb").read()
+        sizes = [p.size for p in pm.parameters(m)]
+        for value in (np.nan, np.inf, -np.inf):
+            for index in (0, 13):
+                offset = 12 + 4 * sum(sizes[:index])
+                open(path, "wb").write(
+                    blob[:offset] + struct.pack("<f", value) + blob[offset + 4:]
+                )
+                with pytest.raises(pm.CheckpointError, match=f"tensor {index} holds non-finite"):
+                    pm.load_checkpoint(path)
+
+    def test_non_finite_parameters_are_refused_before_writing(self, tmp_path):
+        path = tmp_path / "nan.pnet"
         for value in (np.nan, np.inf, -np.inf):
             for index in (0, 13):
                 m = pm.build_model(1, seed=0)
                 pm.parameters(m)[index].flat[0] = value
-                pm.save_checkpoint(m, path)
-                with pytest.raises(pm.CheckpointError, match=f"tensor {index} holds non-finite"):
-                    pm.load_checkpoint(path)
+                with pytest.raises(ValueError, match=f"array {index} holds non-finite"):
+                    pm.save_checkpoint(m, str(path))
+                assert not path.exists()
 
     def test_truncated_errors_are_checkpoint_errors(self):
         assert issubclass(pm.CheckpointTruncatedError, pm.CheckpointError)

@@ -128,6 +128,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="2-d"):
             tsne.tsne(np.zeros(10), tsne.TsneConfig(perplexity=2.0))
 
+    @pytest.mark.parametrize("perplexity", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_perplexity_rejected(self, perplexity):
+        x = np.random.default_rng(0).normal(size=(30, 2))
+        with pytest.raises(ValueError, match="perplexity must be finite"):
+            tsne.tsne(x, tsne.TsneConfig(perplexity=perplexity, iterations=5))
+
     def test_tiny_perplexity_rejected(self):
         with pytest.raises(ValueError, match="perplexity"):
             tsne.tsne(np.zeros((30, 2)), tsne.TsneConfig(perplexity=1.0))
