@@ -4,39 +4,3 @@ The pipeline is blur and contrast stretch, scale-space keypoint
 description, vector quantization against a learned vocabulary, and a
 calibrated linear classifier with a naive Bayes fallback.
 """
-
-from .bow import bow_histogram, build_vocabulary, kmeans
-from .classify import (
-    BaselineFileError,
-    BaselineMagicError,
-    BaselineModel,
-    BaselineTrainConfig,
-    BaselineTruncatedError,
-    BaselineVersionError,
-    SiftBowClassifier,
-    load_baseline,
-    save_baseline,
-    train_baseline,
-)
-from .filters import preprocess
-from .sift import Keypoint, SiftConfig, detect_and_describe
-
-__all__ = [
-    "BaselineFileError",
-    "BaselineMagicError",
-    "BaselineModel",
-    "BaselineTrainConfig",
-    "BaselineTruncatedError",
-    "BaselineVersionError",
-    "Keypoint",
-    "SiftBowClassifier",
-    "SiftConfig",
-    "bow_histogram",
-    "build_vocabulary",
-    "detect_and_describe",
-    "kmeans",
-    "load_baseline",
-    "preprocess",
-    "save_baseline",
-    "train_baseline",
-]

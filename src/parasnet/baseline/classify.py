@@ -228,7 +228,6 @@ class SiftBowClassifier:
 class BaselineTrainConfig:
     vocab_size: int = 64
     svm_epochs: int = 50
-    gap_threshold: float = 0.2
     seed: int = 0
 
 
@@ -304,7 +303,7 @@ def train_baseline(
         nb_vars=variances,
         nb_log_priors=log_priors,
     )
-    return SiftBowClassifier(model, config.gap_threshold)
+    return SiftBowClassifier(model)
 
 
 def save_baseline(model: BaselineModel, path: str) -> None:

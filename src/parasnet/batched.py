@@ -158,7 +158,12 @@ def _pool_cells(planes: np.ndarray):
     return grid[:, 0::2, 0::2], grid[:, 0::2, 1::2], grid[:, 1::2, 0::2], grid[:, 1::2, 1::2]
 
 
-def _pool_max(x: np.ndarray) -> np.ndarray:
+def maxpool_forward(x: np.ndarray) -> np.ndarray:
+    """2x2/stride-2 max pooling; the output is a fresh channel-major map.
+
+    It records no winners: maxpool_backward recomputes them from x and
+    the output.
+    """
     b, h, w, c = x.shape
     xp = _planes(x)
     op = np.empty((c * b, h // 2, w // 2), x.dtype)
@@ -170,21 +175,10 @@ def _pool_max(x: np.ndarray) -> np.ndarray:
     return _as_map(op, b, h // 2, w // 2)
 
 
-def maxpool_infer(x: np.ndarray) -> np.ndarray:
-    """2x2/stride-2 max pooling for inference; the output is a fresh
-    channel-major map."""
-    return _pool_max(x)
-
-
-def maxpool_forward(x: np.ndarray) -> np.ndarray:
-    """2x2/stride-2 max pooling for training; the output is a fresh
-    channel-major map.
-
-    The same values as maxpool_infer, kept as its own function so that
-    profiles tell training's pooling from inference's. It records no
-    winners: maxpool_backward recomputes them from x and the output.
-    """
-    return _pool_max(x)
+# inference pools with the same function under its own name: the
+# benchmark's tracer wraps each name separately, so train and inference
+# pooling still get their own spans
+maxpool_infer = maxpool_forward
 
 
 def maxpool_backward(

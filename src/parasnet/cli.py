@@ -202,12 +202,14 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     config = synth.GenConfig()
     train_n, test_n = (5000, 1000) if args.full_scale else (args.train, args.test)
     for split, count in (("train", train_n), ("test", test_n)):
-        dataset = synth.gen_dataset(config, args.seed, split, count)
+        labels = synth.split_labels(count)
         root = os.path.join(args.out, split)
+        # each image is written as it is generated, so no split is held whole
         pgmio.write_dataset(
-            root, dataset.images, dataset.labels, args.seed, extra={"split": split}
+            root, synth.gen_images(config, args.seed, split, labels), labels, args.seed,
+            extra={"split": split},
         )
-        print(f"wrote {len(dataset.images)} images under {root}")
+        print(f"wrote {len(labels)} images under {root}")
     return 0
 
 
@@ -249,7 +251,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     _ensure_parent(args.ckpt)
     pm.save_checkpoint(net, args.ckpt)
     _ensure_parent(args.history)
-    report.to_csv(args.history, include_seconds=False)
+    report.to_csv(args.history)
     print(evaluation.ConfusionMatrix(report.confusion))
     print(f"final test accuracy {report.final_accuracy:.4f}")
     print(f"checkpoint -> {args.ckpt} ({pm.param_count(net)} parameters)")
@@ -306,10 +308,7 @@ def _cmd_baseline_train(args: argparse.Namespace) -> int:
 
     images, labels = _read_split(pgmio, args.data, "train")
     config = classify.BaselineTrainConfig(
-        vocab_size=args.vocab,
-        svm_epochs=args.svm_epochs,
-        gap_threshold=args.gap,
-        seed=args.seed,
+        vocab_size=args.vocab, svm_epochs=args.svm_epochs, seed=args.seed
     )
     clf = classify.train_baseline(images, labels, config, log=print)
     clf.model.meta = {

@@ -79,15 +79,17 @@ class ConfusionMatrix:
 class CnnClassifier:
     """predict_batch adapter around a trained model."""
 
-    def __init__(self, model: pm.ParasNetModel, batch_size: int = 1):
+    # images per forward pass; perfbench/run.py --trace 1 reads it
+    batch_size = 1
+
+    def __init__(self, model: pm.ParasNetModel):
         self.model = model
-        self.batch_size = batch_size
 
     def predict_batch(self, images: np.ndarray) -> np.ndarray:
-        return tr.predict_labels(self.model, images, self.batch_size)
+        return tr.predict_labels(self.model, images)
 
     def predict_one(self, image: np.ndarray) -> int:
-        probs, _ = pm.forward(self.model, image)
+        probs, _ = pm.forward_batch(self.model, image[None])
         return int(np.argmax(probs))
 
 

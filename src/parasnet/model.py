@@ -329,33 +329,16 @@ def backward_batch(
     return grads
 
 
-def forward_images(
-    model: ParasNetModel, images: np.ndarray, batch_size: int = 1
-) -> tuple[np.ndarray, np.ndarray]:
-    """Inference-mode (probs, hidden) for a stack of images, batch_size
-    images per forward_batch call.
-
-    One image per call is the default because it is the fastest: the
-    inference kernels' cost per image grows with the batch.
-    """
-    chunks = [
-        forward_batch(model, images[start : start + batch_size])
-        for start in range(0, len(images), batch_size)
-    ]
+def forward_images(model: ParasNetModel, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inference-mode (probs, hidden) for a stack of images, one image
+    per forward_batch call."""
+    chunks = [forward_batch(model, images[i : i + 1]) for i in range(len(images))]
     if not chunks:
         return np.zeros((0, NUM_CLASSES)), np.zeros((0, HIDDEN_UNITS))
     return (
         np.concatenate([probs for probs, _ in chunks]),
         np.concatenate([hidden for _, hidden in chunks]),
     )
-
-
-def forward(model: ParasNetModel, image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Single-image inference. Returns (probs, hidden)."""
-    if image.ndim != 3:
-        raise ValueError(f"expected image of shape (h, w, 1), got {image.shape}")
-    probs, hidden = forward_batch(model, image[None])
-    return probs[0], hidden[0]
 
 
 def check_savable(model: ParasNetModel) -> None:

@@ -9,8 +9,10 @@ so full-resolution captures and pre-scaled images can be mixed.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
+from typing import Iterable
 
 import numpy as np
 
@@ -104,28 +106,41 @@ def downscale_2x2(image: np.ndarray) -> np.ndarray:
 
 def write_dataset(
     root: str,
-    images: np.ndarray,
+    images: Iterable[np.ndarray],
     labels: np.ndarray,
     master_seed: int,
     extra: dict | None = None,
 ) -> None:
-    """Write images into the class-directory layout with a manifest."""
-    if len(images) != len(labels):
-        raise ValueError("images and labels disagree in length")
-    h, w = images.shape[1:3]
+    """Write images into the class-directory layout with a manifest.
+
+    images is an array or any iterable of same-sized images, such as a
+    generator, and is consumed one image at a time, so a split need not
+    be held in memory whole. The manifest is written last: an image and
+    label count that disagree, or an image of another size, raise
+    ValueError before it.
+    """
     counts = [0] * NUM_CLASSES
+    size = None
     os.makedirs(root, exist_ok=True)
     for name in CLASS_NAMES:
         os.makedirs(os.path.join(root, name), exist_ok=True)
-    for image, label in zip(images, labels):
+    for image, label in itertools.zip_longest(images, labels):
+        if image is None or label is None:
+            raise ValueError("images and labels disagree in length")
+        if size is None:
+            size = image.shape[:2]
+        elif image.shape[:2] != size:
+            raise ValueError(f"image of size {image.shape[:2]} among images of {size}")
         name = CLASS_NAMES[int(label)]
         index = counts[int(label)]
         counts[int(label)] += 1
         write_pgm(os.path.join(root, name, f"{index:05d}.pgm"), image)
+    if size is None:
+        raise ValueError("no images to write")
     manifest = {
         "version": MANIFEST_VERSION,
-        "height": int(h),
-        "width": int(w),
+        "height": int(size[0]),
+        "width": int(size[1]),
         "master_seed": int(master_seed),
         "counts": {name: counts[i] for i, name in enumerate(CLASS_NAMES)},
     }
@@ -185,17 +200,33 @@ def read_manifest(root: str) -> dict:
     return manifest
 
 
+def _read_image(path: str, h: int, w: int) -> np.ndarray:
+    """The (h, w) image in a dataset file, downscaled if it is (2h, 2w)."""
+    img = read_pgm(path)
+    if img.shape == (2 * h, 2 * w):
+        return downscale_2x2(img)
+    if img.shape != (h, w):
+        raise ValueError(
+            f"{path}: got {img.shape[1]}x{img.shape[0]}, expected "
+            f"{w}x{h} or {2 * w}x{2 * h}"
+        )
+    return img
+
+
 def read_dataset(root: str) -> tuple[np.ndarray, np.ndarray]:
     """Load every image listed in the manifest, in class then index order.
 
-    Returns (images, labels) with images shaped (N, height, width, 1).
-    Files at twice the manifest resolution are downscaled on the fly.
-    A listed file that is missing raises FileNotFoundError; a malformed
-    manifest or image raises ValueError.
+    Returns (images, labels) with images shaped (N, height, width, 1),
+    read into one array allocated up front. Files at twice the manifest
+    resolution are downscaled on the fly. A listed file that is missing
+    raises FileNotFoundError; a malformed manifest or image raises
+    ValueError. The manifest comes from outside, so the array is
+    allocated only once every listed file exists and the first holds an
+    image of the manifest's size.
     """
     manifest = read_manifest(root)
     h, w = manifest["height"], manifest["width"]
-    images = []
+    paths = []
     labels = []
     for label, name in enumerate(CLASS_NAMES):
         count = manifest["counts"].get(name, 0)
@@ -205,16 +236,13 @@ def read_dataset(root: str) -> tuple[np.ndarray, np.ndarray]:
                 raise FileNotFoundError(
                     f"manifest promises {count} {name} images but {path} is missing"
                 )
-            img = read_pgm(path)
-            if img.shape == (2 * h, 2 * w):
-                img = downscale_2x2(img)
-            elif img.shape != (h, w):
-                raise ValueError(
-                    f"{path}: got {img.shape[1]}x{img.shape[0]}, expected "
-                    f"{w}x{h} or {2 * w}x{2 * h}"
-                )
-            images.append(img[:, :, None])
+            paths.append(path)
             labels.append(label)
-    if not images:
+    if not paths:
         raise ValueError(f"{root}: manifest lists no images")
-    return np.stack(images), np.array(labels, dtype=np.int64)
+    first = _read_image(paths[0], h, w)
+    images = np.empty((len(paths), h, w, 1), first.dtype)
+    images[0, :, :, 0] = first
+    for i in range(1, len(paths)):
+        images[i, :, :, 0] = _read_image(paths[i], h, w)
+    return images, np.array(labels, dtype=np.int64)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
@@ -229,6 +230,33 @@ def gen_sample(
     return np.clip(img, 0.0, 1.0).astype(np.float32)[:, :, None]
 
 
+def split_labels(per_class: int | tuple[int, int, int]) -> np.ndarray:
+    """The labels of a split with per_class images of each class, or
+    per_class[label] of each, grouped by class in label order."""
+    if isinstance(per_class, int):
+        counts = (per_class,) * NUM_CLASSES
+    else:
+        counts = tuple(per_class)
+        if len(counts) != NUM_CLASSES:
+            raise ValueError(f"need {NUM_CLASSES} class counts, got {len(counts)}")
+    labels = np.repeat(np.arange(NUM_CLASSES, dtype=np.int64), counts)
+    if not len(labels):
+        raise ValueError("no samples requested")
+    return labels
+
+
+def gen_images(
+    config: GenConfig, master_seed: int, split: str, labels: np.ndarray
+) -> Iterator[np.ndarray]:
+    """The sample of each label in turn, indexed within its class, one
+    image at a time."""
+    config.validate()
+    seen = [0] * NUM_CLASSES
+    for label in labels.tolist():
+        yield gen_sample(label, seen[label], config, master_seed, split)
+        seen[label] += 1
+
+
 def gen_dataset(
     config: GenConfig,
     master_seed: int,
@@ -236,21 +264,6 @@ def gen_dataset(
     per_class: int | tuple[int, int, int],
 ) -> Dataset:
     """All samples for one split, grouped by class in label order."""
-    config.validate()
-    if isinstance(per_class, int):
-        counts = (per_class,) * NUM_CLASSES
-    else:
-        counts = tuple(per_class)
-        if len(counts) != NUM_CLASSES:
-            raise ValueError(f"need {NUM_CLASSES} class counts, got {len(counts)}")
-    images = []
-    labels = []
-    for label, count in enumerate(counts):
-        for index in range(count):
-            images.append(gen_sample(label, index, config, master_seed, split))
-            labels.append(label)
-    if not images:
-        raise ValueError("no samples requested")
-    return Dataset(
-        images=np.stack(images), labels=np.array(labels, dtype=np.int64)
-    )
+    labels = split_labels(per_class)
+    images = list(gen_images(config, master_seed, split, labels))
+    return Dataset(images=np.stack(images), labels=labels)

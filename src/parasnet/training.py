@@ -261,26 +261,19 @@ class TrainReport:
     def best_accuracy(self) -> float:
         return max((e.test_accuracy for e in self.history), default=0.0)
 
-    def to_csv(self, path: str, include_seconds: bool = True) -> None:
-        """Per-epoch history as CSV.
-
-        Wall times can be left out so two runs with the same seed write
-        identical bytes.
-        """
-        header = "epoch,train_loss,test_accuracy"
-        lines = [header + ",seconds" if include_seconds else header]
+    def to_csv(self, path: str) -> None:
+        """Per-epoch history as CSV. Wall times are left out, so two runs
+        with the same seed write identical bytes."""
+        lines = ["epoch,train_loss,test_accuracy"]
         for e in self.history:
-            row = f"{e.epoch},{e.train_loss:.6f},{e.test_accuracy:.4f}"
-            lines.append(row + f",{e.seconds:.3f}" if include_seconds else row)
+            lines.append(f"{e.epoch},{e.train_loss:.6f},{e.test_accuracy:.4f}")
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
 
 
-def predict_labels(
-    model: pm.ParasNetModel, images: np.ndarray, batch_size: int = 1
-) -> np.ndarray:
+def predict_labels(model: pm.ParasNetModel, images: np.ndarray) -> np.ndarray:
     """Hard class labels for a stack of images, in inference mode."""
-    probs, _ = pm.forward_images(model, images, batch_size)
+    probs, _ = pm.forward_images(model, images)
     return np.argmax(probs, axis=1)
 
 

@@ -134,7 +134,9 @@ def _validate(features: np.ndarray, config: TsneConfig) -> None:
         raise ValueError(f"perplexity {config.perplexity} too small")
     if n < 3 * config.perplexity:
         raise ValueError(
-            f"need at least {int(np.ceil(3 * config.perplexity))} points for "
+            # :g, not int(), since 3 * perplexity overflows to inf
+            # for a finite perplexity above about 6e307
+            f"need at least {np.ceil(3 * config.perplexity):g} points for "
             f"perplexity {config.perplexity}, got {n}"
         )
     if config.iterations < 1:

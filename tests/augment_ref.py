@@ -1,15 +1,32 @@
 """Reference augmentation: the plain form of parasnet.training.augment.
 
-It resamples with 2-d fancy indexing and fills with np.median. The
-package's augment computes the same pixels with less work and is tested
-against this for bit equality, dtype included.
+It shifts with a slice copy of its own, resamples with 2-d fancy
+indexing and fills with np.median; only AugmentConfig comes from the
+package, so a fault in the package's shift cannot show on both sides.
+The package's augment computes the same pixels with less work and is
+tested against this for bit equality, dtype included.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from parasnet.training import AugmentConfig, _shift
+from parasnet.training import AugmentConfig
+
+
+def shift(img: np.ndarray, dy: int, dx: int, fill: float) -> np.ndarray:
+    """img moved down dy rows and right dx columns, uncovered pixels
+    set to fill."""
+    h, w = img.shape
+    out = np.full((h, w), fill, img.dtype)
+    # the rows and columns that stay inside the frame
+    ys, xs = h - abs(dy), w - abs(dx)
+    if ys > 0 and xs > 0:
+        top, left = max(dy, 0), max(dx, 0)
+        src_top, src_left = max(-dy, 0), max(-dx, 0)
+        src = img[src_top : src_top + ys, src_left : src_left + xs]
+        out[top : top + ys, left : left + xs] = src
+    return out
 
 
 def resample_nn(img: np.ndarray, src_y: np.ndarray, src_x: np.ndarray, fill: float) -> np.ndarray:
@@ -40,7 +57,7 @@ def augment(image: np.ndarray, cfg: AugmentConfig, rng: np.random.Generator) -> 
 
     img = image[:, :, 0]
     fill = float(np.median(img))
-    out = _shift(img, dy, dx, fill)
+    out = shift(img, dy, dx, fill)
     if flip_lr:
         out = out[:, ::-1]
     if flip_ud:

@@ -2,11 +2,12 @@
 
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from parasnet import cli, evaluation, pgmio
+from parasnet import cli, evaluation, pgmio, synth
 from parasnet.baseline import classify
 from parasnet.model import expected_param_count, load_checkpoint, param_count
 
@@ -57,6 +58,23 @@ class TestGen:
         b = tree_bytes(other)
         changed = [rel for rel in a if rel.endswith(".pgm") and a[rel] != b[rel]]
         assert changed
+
+    def test_peak_memory_does_not_grow_with_the_image_count(self, tmp_path):
+        def peak(train, out):
+            tracemalloc.start()
+            try:
+                code = cli.main(["gen", "--out", str(out), "--train", str(train), "--test", "1"])
+                bytes_at_peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            return bytes_at_peak
+
+        peak(1, tmp_path / "warm")  # fills the generator's lazy caches
+        one, four = peak(1, tmp_path / "one"), peak(4, tmp_path / "four")
+        cfg = synth.GenConfig()
+        # nine more images may not cost even one more float32 frame
+        assert four - one < cfg.height * cfg.width * 4
 
     def test_outdir_env_var_supplies_the_default_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PARASNET_OUTDIR", str(tmp_path))
@@ -198,6 +216,17 @@ class TestEval:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "perplexity must be finite" in err
+        assert not out.exists()
+
+    def test_embed_rejects_a_huge_finite_perplexity(self, dataset, ckpt, tmp_path, capsys):
+        out = tmp_path / "e.csv"
+        code = cli.main([
+            "embed", "--ckpt", ckpt, "--data", dataset, "--out", str(out),
+            "--perplexity", "1e308", "--iters", "5",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "perplexity 1e+308" in err
         assert not out.exists()
 
     def test_bench_reports_the_cnn(self, dataset, ckpt, tmp_path, capsys):

@@ -9,6 +9,7 @@ import pytest
 
 from fd import kink_pattern
 from parasnet import batched
+from parasnet import evaluation as ev
 from parasnet import model as pm
 from parasnet import training as tr
 
@@ -101,10 +102,10 @@ class TestForward:
     def test_output_shapes_and_normalization(self):
         m = pm.build_model(2, seed=0)
         rng = np.random.default_rng(0)
-        image = rng.random((244, 324, 1), dtype=np.float32)
-        probs, hidden = pm.forward(m, image)
-        assert probs.shape == (3,)
-        assert hidden.shape == (128,)
+        image = rng.random((1, 244, 324, 1), dtype=np.float32)
+        probs, hidden = pm.forward_batch(m, image)
+        assert probs.shape == (1, 3)
+        assert hidden.shape == (1, 128)
         assert abs(probs.sum() - 1.0) < 1e-5
         assert (probs > 0).all()
 
@@ -113,12 +114,14 @@ class TestForward:
         rng = np.random.default_rng(1)
         x = rng.random((3, 244, 324, 1), dtype=np.float32)
         probs, hidden = pm.forward_batch(m, x)
+        clf = ev.CnnClassifier(m)
         # BLAS may sum in a different order for different batch sizes,
         # so this is close, not bitwise
         for i in range(3):
-            p, h = pm.forward(m, x[i])
-            np.testing.assert_allclose(probs[i], p, rtol=1e-4, atol=1e-6)
-            np.testing.assert_allclose(hidden[i], h, rtol=1e-4, atol=1e-5)
+            p, h = pm.forward_batch(m, x[i : i + 1])
+            np.testing.assert_allclose(probs[i], p[0], rtol=1e-4, atol=1e-6)
+            np.testing.assert_allclose(hidden[i], h[0], rtol=1e-4, atol=1e-5)
+            assert clf.predict_one(x[i]) == np.argmax(probs[i])
 
     def test_train_mode_requires_rng(self):
         m = pm.build_model(2, seed=1)
@@ -143,7 +146,7 @@ class TestForward:
     def test_wrong_rank_rejected(self):
         m = pm.build_model(2, seed=1)
         with pytest.raises(ValueError, match="shape"):
-            pm.forward(m, np.zeros((244, 324)))
+            ev.CnnClassifier(m).predict_one(np.zeros((244, 324)))
 
     def test_concurrent_single_image_calls_match_serial_results(self):
         m = pm.build_model(8, seed=2)

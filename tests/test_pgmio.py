@@ -2,6 +2,7 @@
 
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,6 +152,19 @@ class TestDatasetLayout:
         back_images, _ = pgmio.read_dataset(root)
         np.testing.assert_array_equal(back_images[3, :, :, 0], original)
 
+    def test_read_holds_the_images_once(self, tmp_path):
+        # 30 images of 96x128: the 1.5 MB array dwarfs one file's temporaries
+        images, labels = _tiny_dataset(10, h=96, w=128)
+        root = str(tmp_path / "data")
+        pgmio.write_dataset(root, images, labels, master_seed=0)
+        tracemalloc.start()
+        try:
+            back, _ = pgmio.read_dataset(root)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * back.nbytes
+
     def test_missing_file_named_in_error(self, tmp_path):
         images, labels = _tiny_dataset()
         root = str(tmp_path / "data")
@@ -223,3 +237,43 @@ class TestDatasetLayout:
                 np.zeros(3, dtype=np.int64),
                 master_seed=0,
             )
+
+    @pytest.mark.parametrize("n_images", [2, 4])
+    def test_a_generator_of_the_wrong_length_writes_no_manifest(self, tmp_path, n_images):
+        images = (np.zeros((4, 4, 1), dtype=np.float32) for _ in range(n_images))
+        with pytest.raises(ValueError, match="disagree"):
+            pgmio.write_dataset(str(tmp_path), images, np.zeros(3, dtype=np.int64), 0)
+        assert not (tmp_path / pgmio.MANIFEST_NAME).exists()
+
+    @pytest.mark.parametrize(
+        "images, match", [([np.zeros((4, 4)), np.zeros((4, 5))], "size"), ([], "no images")]
+    )
+    def test_mixed_sizes_or_no_images_write_no_manifest(self, tmp_path, images, match):
+        labels = np.zeros(len(images), dtype=np.int64)
+        with pytest.raises(ValueError, match=match):
+            pgmio.write_dataset(str(tmp_path), images, labels, 0)
+        assert not (tmp_path / pgmio.MANIFEST_NAME).exists()
+
+    @pytest.mark.parametrize(
+        "edit, error",
+        [({"counts": {"crypto": 10**9}}, FileNotFoundError), ({"height": 10**6}, ValueError)],
+        ids=["count", "size"],
+    )
+    def test_a_false_manifest_fails_before_allocating(self, tmp_path, edit, error):
+        images, labels = _tiny_dataset()
+        root = str(tmp_path / "data")
+        pgmio.write_dataset(root, images, labels, master_seed=0)
+        path = os.path.join(root, pgmio.MANIFEST_NAME)
+        with open(path) as fh:
+            manifest = json.load(fh)
+        manifest.update(edit)
+        with open(path, "w") as fh:
+            json.dump(manifest, fh)
+        tracemalloc.start()
+        try:
+            with pytest.raises(error):
+                pgmio.read_dataset(root)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20

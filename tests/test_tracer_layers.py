@@ -3,7 +3,8 @@
 perfbench/tracing.py reads the layer from the NHWC (h, w) of a call's
 first argument and the batch from its first axis. This test loads the
 tracer from its file, so a change of the kernels' arguments that would
-leave the benchmark's per-layer metrics reading 0 fails here.
+leave the benchmark's per-layer metrics reading 0 fails here. It also
+checks the package names perfbench/run.py reads besides the traced ones.
 """
 
 import importlib.util
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from parasnet import batched, evaluation
 from parasnet import model as pm
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -55,3 +57,9 @@ def test_every_kernel_span_has_its_layer_and_batch():
         for layer in range(1, 6)
     ]
     assert sorted(spans) == sorted(expected)
+
+
+def test_what_the_benchmark_runner_reads_exists():
+    # run.py --trace 1 reports the inference batch and the scratch pool
+    assert evaluation.CnnClassifier(None).batch_size == 1
+    assert batched._scratch == {}

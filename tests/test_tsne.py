@@ -134,6 +134,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="perplexity must be finite"):
             tsne.tsne(x, tsne.TsneConfig(perplexity=perplexity, iterations=5))
 
+    def test_huge_finite_perplexity_is_a_value_error(self):
+        # 3 * perplexity overflows to inf; the error must still be a ValueError
+        with pytest.raises(ValueError, match="at least inf points"):
+            tsne.tsne(np.zeros((30, 2)), tsne.TsneConfig(perplexity=1e308))
+
     def test_tiny_perplexity_rejected(self):
         with pytest.raises(ValueError, match="perplexity"):
             tsne.tsne(np.zeros((30, 2)), tsne.TsneConfig(perplexity=1.0))
