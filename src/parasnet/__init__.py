@@ -14,3 +14,7 @@ GIARDIA = 2
 
 CLASS_NAMES = ("others", "crypto", "giardia")
 NUM_CLASSES = 3
+
+# the frame size the network takes and the generator draws
+INPUT_HEIGHT = 244
+INPUT_WIDTH = 324

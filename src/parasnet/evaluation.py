@@ -115,12 +115,6 @@ class SweepRow:
 class SweepResult:
     rows: list[SweepRow] = field(default_factory=list)
 
-    def accuracy_for(self, filters: int) -> float:
-        for row in self.rows:
-            if row.filters == filters:
-                return row.best_accuracy
-        raise KeyError(f"no sweep row for {filters} filters")
-
     def to_csv(self, path: str) -> None:
         lines = ["filters,params,best_accuracy,final_accuracy"]
         for r in self.rows:

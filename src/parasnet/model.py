@@ -12,12 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import batched, container
+from . import INPUT_HEIGHT, INPUT_WIDTH, NUM_CLASSES, batched, container
 
-INPUT_HEIGHT = 244
-INPUT_WIDTH = 324
 HIDDEN_UNITS = 128
-NUM_CLASSES = 3
 DROPOUT_RATE = 0.5
 
 CHECKPOINT_MAGIC = b"PNET"
@@ -195,15 +192,6 @@ def param_count(model: ParasNetModel) -> int:
     return sum(p.size for p in parameters(model))
 
 
-def expected_param_count(filters: int) -> int:
-    """Closed form for the default input size."""
-    conv1 = 9 * filters + filters
-    conv_rest = 4 * (9 * filters * filters + filters)
-    dense1 = flatten_dim(filters) * HIDDEN_UNITS + HIDDEN_UNITS
-    dense2 = HIDDEN_UNITS * NUM_CLASSES + NUM_CLASSES
-    return conv1 + conv_rest + dense1 + dense2
-
-
 def dropout(
     x: np.ndarray, rate: float, mode: str, rng: np.random.Generator | None = None
 ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -306,11 +294,7 @@ def backward_batch(
         cache.flat, model.dense1_weights, d_dense1_pre
     )
     grads: list[np.ndarray] = [d_w1, d_b1, d_w2, d_b2]
-    pool_out_shape = (
-        cache.flat.shape[0],
-        *layer_shapes(model.filters, *cache.inputs[0].shape[1:3])[9],
-    )
-    d_pool = d_flat.reshape(pool_out_shape)
+    d_pool = d_flat.reshape(cache.pooled[-1].shape)
     for i in range(4, -1, -1):
         conv_pre = cache.conv_pre[i]
         x = cache.inputs[i]

@@ -1,10 +1,12 @@
 """Binary PGM (P5) reading and writing plus the on-disk dataset layout.
 
 A dataset directory holds one subdirectory per class, each containing
-zero-padded NNNNN.pgm files, and a manifest.json recording the counts,
-the image size, the generator version and the master seed. Files at
-exactly twice the manifest resolution are averaged down 2x2 on read,
-so full-resolution captures and pre-scaled images can be mixed.
+zero-padded NNNNN.pgm files, and a manifest.json holding the manifest
+format "version", the image "height" and "width", the "master_seed",
+the per-class "counts", and any extra keys the writer passes, such as
+the "split" that `parasnet gen` records. Files at exactly twice the
+manifest resolution are averaged down 2x2 on read, so full-resolution
+captures and pre-scaled images can be mixed.
 """
 
 from __future__ import annotations

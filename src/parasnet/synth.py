@@ -2,12 +2,17 @@
 
 Each class has a distinct morphology rendered onto a noisy background:
 
-* crypto: a bright elliptical wall with a fainter halo ring outside it,
-  an offset dark disk inside, and an azimuthal brightness flicker.
+* crypto: a bright elliptical wall, a wider halo ring one period
+  outside it, and up to four bead-like spots on the wall.
 * giardia: an elongated patch of concentric cosine fringes with a
-  bright rim. Fringe periods sit strictly below the crypto ring
-  spacing, which is what makes the two separable in frequency.
+  bright rim and three or four dark nuclei. Fringe periods sit strictly
+  below the crypto ring spacing, which is what makes the two separable
+  in frequency.
 * others: a handful of soft blobs of either sign plus fine speckle.
+
+The distribution is fixed: every range a sample draws from is one of
+the module constants below. GenConfig sets only the frame size, which
+must hold the largest crypto object.
 
 Every sample is generated from its own seed sequence derived from
 (master seed, split, class, index), so any image can be regenerated in
@@ -22,62 +27,34 @@ from typing import Iterator
 
 import numpy as np
 
-from . import CRYPTO, GIARDIA, NUM_CLASSES, OTHERS
-
-GENERATOR_VERSION = 1
+from . import CRYPTO, GIARDIA, INPUT_HEIGHT, INPUT_WIDTH, NUM_CLASSES, OTHERS
 
 SPLIT_CODES = {"train": 0, "test": 1}
 
+BACKGROUND = (0.25, 0.55)
+NOISE_SIGMA = 0.02
+# ring spacing of the crypto double wall, pixels
+CRYPTO_PERIOD = (18.0, 30.0)
+CRYPTO_RADIUS = (28.0, 46.0)
+CRYPTO_ECC = (1.0, 1.25)
+CRYPTO_CONTRAST = (0.4, 0.75)
+# fringe period of the giardia pattern, strictly below CRYPTO_PERIOD
+GIARDIA_PERIOD = (6.0, 12.0)
+GIARDIA_RADIUS = (30.0, 52.0)
+GIARDIA_ECC = (1.25, 1.8)
+GIARDIA_CONTRAST = (0.55, 0.95)
+OTHERS_CONTRAST = (0.25, 0.6)
+BLOB_COUNT = (2, 5)
+SPECKLE_AMP = 0.05
 
-@dataclass
+
+@dataclass(frozen=True)
 class GenConfig:
-    height: int = 244
-    width: int = 324
-    background: tuple[float, float] = (0.25, 0.55)
-    noise_sigma: float = 0.02
-    # ring spacing of the crypto double wall, pixels
-    crypto_period: tuple[float, float] = (18.0, 30.0)
-    crypto_radius: tuple[float, float] = (28.0, 46.0)
-    crypto_ecc: tuple[float, float] = (1.0, 1.25)
-    crypto_contrast: tuple[float, float] = (0.4, 0.75)
-    # fringe period of the giardia pattern, strictly below crypto_period
-    giardia_period: tuple[float, float] = (6.0, 12.0)
-    giardia_radius: tuple[float, float] = (30.0, 52.0)
-    giardia_ecc: tuple[float, float] = (1.25, 1.8)
-    giardia_contrast: tuple[float, float] = (0.55, 0.95)
-    others_contrast: tuple[float, float] = (0.25, 0.6)
-    blob_count: tuple[int, int] = (2, 5)
-    speckle_amp: float = 0.05
+    height: int = INPUT_HEIGHT
+    width: int = INPUT_WIDTH
 
-    def validate(self) -> None:
-        if self.height < 32 or self.width < 32:
-            raise ValueError(f"frame {self.height}x{self.width} too small")
-        ranges = {
-            "background": self.background,
-            "crypto_period": self.crypto_period,
-            "crypto_radius": self.crypto_radius,
-            "crypto_ecc": self.crypto_ecc,
-            "crypto_contrast": self.crypto_contrast,
-            "giardia_period": self.giardia_period,
-            "giardia_radius": self.giardia_radius,
-            "giardia_ecc": self.giardia_ecc,
-            "giardia_contrast": self.giardia_contrast,
-            "others_contrast": self.others_contrast,
-        }
-        for name, (lo, hi) in ranges.items():
-            if not (0 < lo <= hi):
-                raise ValueError(f"{name} range ({lo}, {hi}) is not ordered positive")
-        if self.giardia_period[1] >= self.crypto_period[0]:
-            raise ValueError(
-                f"giardia periods {self.giardia_period} must sit strictly below "
-                f"crypto periods {self.crypto_period}"
-            )
-        if self.noise_sigma < 0 or self.speckle_amp < 0:
-            raise ValueError("noise amplitudes must be non-negative")
-        lo, hi = self.blob_count
-        if not (0 < lo <= hi):
-            raise ValueError(f"blob_count range ({lo}, {hi}) is not ordered positive")
-        reach = 1.1 * (self.crypto_radius[1] + self.crypto_period[1]) + 4
+    def __post_init__(self) -> None:
+        reach = 1.1 * (CRYPTO_RADIUS[1] + CRYPTO_PERIOD[1]) + 4
         if 2 * reach >= min(self.height, self.width):
             raise ValueError(
                 f"largest crypto object (reach {reach:.0f}px) does not fit "
@@ -96,8 +73,11 @@ class Dataset:
 
 @lru_cache(maxsize=4)
 def _grids(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-    yy, xx = np.mgrid[0:height, 0:width]
-    return yy.astype(np.float64), xx.astype(np.float64)
+    """Row and column coordinate grids, shared by every caller and
+    thread, so read-only."""
+    grids = np.mgrid[0:height, 0:width].astype(np.float64)
+    grids.flags.writeable = False
+    return grids[0], grids[1]
 
 
 def _uniform(rng: np.random.Generator, bounds: tuple[float, float]) -> float:
@@ -126,10 +106,10 @@ def _elliptic_radius(rng, height, width, radius_range, ecc_range, extra_reach):
 
 
 def _render_crypto(rng: np.random.Generator, cfg: GenConfig) -> np.ndarray:
-    period = _uniform(rng, cfg.crypto_period)
-    amp = _uniform(rng, cfg.crypto_contrast)
+    period = _uniform(rng, CRYPTO_PERIOD)
+    amp = _uniform(rng, CRYPTO_CONTRAST)
     re, u, v, r0, ecc = _elliptic_radius(
-        rng, cfg.height, cfg.width, cfg.crypto_radius, cfg.crypto_ecc, period
+        rng, cfg.height, cfg.width, CRYPTO_RADIUS, CRYPTO_ECC, period
     )
     # the double wall is drawn as soft ridges plus bead-like spots sitting
     # on the inner ring; each bead on its own looks just like one of the
@@ -151,10 +131,10 @@ def _render_crypto(rng: np.random.Generator, cfg: GenConfig) -> np.ndarray:
 
 
 def _render_giardia(rng: np.random.Generator, cfg: GenConfig) -> np.ndarray:
-    period = _uniform(rng, cfg.giardia_period)
-    amp = _uniform(rng, cfg.giardia_contrast)
+    period = _uniform(rng, GIARDIA_PERIOD)
+    amp = _uniform(rng, GIARDIA_CONTRAST)
     re, u, v, r0, _ = _elliptic_radius(
-        rng, cfg.height, cfg.width, cfg.giardia_radius, cfg.giardia_ecc, 0.0
+        rng, cfg.height, cfg.width, GIARDIA_RADIUS, GIARDIA_ECC, 0.0
     )
     phase = float(rng.uniform(0.0, 2 * np.pi))
     envelope = 0.5 * (1.0 + np.tanh((r0 - re) / 4.0))
@@ -172,8 +152,8 @@ def _render_giardia(rng: np.random.Generator, cfg: GenConfig) -> np.ndarray:
 
 
 def _render_others(rng: np.random.Generator, cfg: GenConfig) -> np.ndarray:
-    amp = _uniform(rng, cfg.others_contrast)
-    count = int(rng.integers(cfg.blob_count[0], cfg.blob_count[1] + 1))
+    amp = _uniform(rng, OTHERS_CONTRAST)
+    count = int(rng.integers(BLOB_COUNT[0], BLOB_COUNT[1] + 1))
     yy, xx = _grids(cfg.height, cfg.width)
     delta = np.zeros((cfg.height, cfg.width))
     for _ in range(count):
@@ -197,7 +177,7 @@ def _speckle(rng: np.random.Generator, cfg: GenConfig) -> np.ndarray:
     p = np.pad(e, 1, mode="edge")
     rows = p[:-2] + p[1:-1] + p[2:]
     box = (rows[:, :-2] + rows[:, 1:-1] + rows[:, 2:]) / 9.0
-    return 3.0 * cfg.speckle_amp * box
+    return 3.0 * SPECKLE_AMP * box
 
 
 _RENDERERS = {OTHERS: _render_others, CRYPTO: _render_crypto, GIARDIA: _render_giardia}
@@ -222,27 +202,19 @@ def gen_sample(
     if label not in _RENDERERS:
         raise ValueError(f"label must be 0, 1 or 2, got {label}")
     rng = sample_rng(master_seed, split, label, index)
-    background = _uniform(rng, config.background)
+    background = _uniform(rng, BACKGROUND)
     img = np.full((config.height, config.width), background)
     img += _RENDERERS[label](rng, config)
-    if config.noise_sigma > 0:
-        img += rng.normal(0.0, config.noise_sigma, img.shape)
+    img += rng.normal(0.0, NOISE_SIGMA, img.shape)
     return np.clip(img, 0.0, 1.0).astype(np.float32)[:, :, None]
 
 
-def split_labels(per_class: int | tuple[int, int, int]) -> np.ndarray:
-    """The labels of a split with per_class images of each class, or
-    per_class[label] of each, grouped by class in label order."""
-    if isinstance(per_class, int):
-        counts = (per_class,) * NUM_CLASSES
-    else:
-        counts = tuple(per_class)
-        if len(counts) != NUM_CLASSES:
-            raise ValueError(f"need {NUM_CLASSES} class counts, got {len(counts)}")
-    labels = np.repeat(np.arange(NUM_CLASSES, dtype=np.int64), counts)
-    if not len(labels):
-        raise ValueError("no samples requested")
-    return labels
+def split_labels(per_class: int) -> np.ndarray:
+    """The labels of a split with per_class images of each class,
+    grouped by class in label order."""
+    if per_class < 1:
+        raise ValueError(f"no samples requested (per_class={per_class})")
+    return np.repeat(np.arange(NUM_CLASSES, dtype=np.int64), per_class)
 
 
 def gen_images(
@@ -250,7 +222,6 @@ def gen_images(
 ) -> Iterator[np.ndarray]:
     """The sample of each label in turn, indexed within its class, one
     image at a time."""
-    config.validate()
     seen = [0] * NUM_CLASSES
     for label in labels.tolist():
         yield gen_sample(label, seen[label], config, master_seed, split)
@@ -258,10 +229,7 @@ def gen_images(
 
 
 def gen_dataset(
-    config: GenConfig,
-    master_seed: int,
-    split: str,
-    per_class: int | tuple[int, int, int],
+    config: GenConfig, master_seed: int, split: str, per_class: int
 ) -> Dataset:
     """All samples for one split, grouped by class in label order."""
     labels = split_labels(per_class)

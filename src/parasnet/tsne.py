@@ -103,12 +103,6 @@ def _q_matrix(embedding: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q, num
 
 
-def kl_divergence(p: np.ndarray, embedding: np.ndarray) -> float:
-    q, _ = _q_matrix(embedding)
-    mask = p > 0
-    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
-
-
 def kl_gradient(p: np.ndarray, embedding: np.ndarray) -> np.ndarray:
     q, num = _q_matrix(embedding)
     weights = (p - q) * num

@@ -106,9 +106,10 @@ class TestSweep:
                 ev.SweepRow(8, 43891, 0.97, 0.96),
             ]
         )
-        assert result.accuracy_for(8) == 0.97
-        with pytest.raises(KeyError, match="16"):
-            result.accuracy_for(16)
+        assert [r.filters for r in result.rows] == [2, 8]
+        best = {r.filters: r.best_accuracy for r in result.rows}
+        assert best[8] == 0.97
+        assert 16 not in best
 
     def test_csv_format(self, tmp_path):
         result = ev.SweepResult(rows=[ev.SweepRow(4, 21627, 0.9231, 0.9)])

@@ -18,6 +18,15 @@ def _gaussian_clusters(rng, n_per, dims, centers):
     return np.concatenate(points), np.concatenate(labels)
 
 
+def kl_divergence(p, embedding):
+    """KL(P || Q) for the Student-t affinities Q of the embedding."""
+    num = 1.0 / (1.0 + tsne.pairwise_sq_dists(embedding))
+    np.fill_diagonal(num, 0.0)
+    q = num / num.sum()
+    mask = p > 0
+    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
+
+
 class TestProbabilities:
     def test_joint_matrix_is_a_distribution(self):
         rng = np.random.default_rng(0)
@@ -60,7 +69,7 @@ class TestGradient:
         grad = tsne.kl_gradient(p, y)
 
         def f():
-            return tsne.kl_divergence(p, y)
+            return kl_divergence(p, y)
 
         fd = central_diff_grad(f, y)
         assert rel_error(grad, fd) < 1e-6
@@ -70,7 +79,7 @@ class TestGradient:
         x = rng.normal(size=(20, 3))
         p = tsne.joint_probabilities(x, perplexity=5.0)
         y = rng.normal(size=(20, 2))
-        assert tsne.kl_divergence(p, y) >= 0.0
+        assert kl_divergence(p, y) >= 0.0
 
 
 class TestOptimization:
@@ -80,7 +89,7 @@ class TestOptimization:
         p = tsne.joint_probabilities(x, perplexity=8.0)
         short = tsne.tsne(x, tsne.TsneConfig(perplexity=8.0, iterations=60, seed=2))
         long = tsne.tsne(x, tsne.TsneConfig(perplexity=8.0, iterations=400, seed=2))
-        assert tsne.kl_divergence(p, long) < tsne.kl_divergence(p, short)
+        assert kl_divergence(p, long) < kl_divergence(p, short)
 
     def test_same_seed_same_embedding(self):
         rng = np.random.default_rng(6)
