@@ -148,30 +148,40 @@ class TestThroughput:
         assert rate >= 50.0, f"generator too slow: {rate:.0f} images/s"
 
 
+RANGE_NAMES = (
+    "BACKGROUND",
+    "CRYPTO_PERIOD",
+    "CRYPTO_RADIUS",
+    "CRYPTO_ECC",
+    "CRYPTO_CONTRAST",
+    "GIARDIA_PERIOD",
+    "GIARDIA_RADIUS",
+    "GIARDIA_ECC",
+    "GIARDIA_CONTRAST",
+    "OTHERS_CONTRAST",
+    "BLOB_COUNT",
+)
+
+
+def check_distribution(dist):
+    """Raise ValueError naming the first broken invariant of the constants."""
+    for name in RANGE_NAMES:
+        lo, hi = getattr(dist, name)
+        if not lo <= hi:
+            raise ValueError(f"{name} must be ordered, got {(lo, hi)}")
+        if not lo > 0:
+            raise ValueError(f"{name} must be positive, got {(lo, hi)}")
+    for name in ("NOISE_SIGMA", "SPECKLE_AMP"):
+        if not getattr(dist, name) > 0:
+            raise ValueError(f"{name} must be positive")
+    # the separability claim of the module docstring
+    if not dist.GIARDIA_PERIOD[1] < dist.CRYPTO_PERIOD[0]:
+        raise ValueError("giardia periods must sit strictly below crypto periods")
+
+
 class TestDistribution:
     def test_ranges_are_ordered_positive_and_separable(self):
-        ranges = {
-            name: getattr(synth, name)
-            for name in (
-                "BACKGROUND",
-                "CRYPTO_PERIOD",
-                "CRYPTO_RADIUS",
-                "CRYPTO_ECC",
-                "CRYPTO_CONTRAST",
-                "GIARDIA_PERIOD",
-                "GIARDIA_RADIUS",
-                "GIARDIA_ECC",
-                "GIARDIA_CONTRAST",
-                "OTHERS_CONTRAST",
-                "BLOB_COUNT",
-            )
-        }
-        for name, (lo, hi) in ranges.items():
-            assert 0 < lo <= hi, name
-        assert synth.NOISE_SIGMA > 0
-        assert synth.SPECKLE_AMP > 0
-        # the separability claim of the module docstring
-        assert synth.GIARDIA_PERIOD[1] < synth.CRYPTO_PERIOD[0]
+        check_distribution(synth)
 
     def test_cached_grids_are_read_only(self):
         yy, xx = synth._grids(40, 50)
@@ -188,6 +198,28 @@ class TestGenConfig:
     def test_object_must_fit_in_frame(self):
         with pytest.raises(ValueError, match="fit"):
             synth.GenConfig(height=120, width=120)
+
+    # The distribution is module constants now; these check that
+    # check_distribution catches each fault the constants could carry.
+    def test_overlapping_periods_rejected(self, monkeypatch):
+        monkeypatch.setattr(synth, "GIARDIA_PERIOD", (6.0, 20.0))
+        with pytest.raises(ValueError, match="strictly below"):
+            check_distribution(synth)
+
+    def test_reversed_range_rejected(self, monkeypatch):
+        monkeypatch.setattr(synth, "CRYPTO_RADIUS", (46.0, 28.0))
+        with pytest.raises(ValueError, match="CRYPTO_RADIUS must be ordered"):
+            check_distribution(synth)
+
+    def test_negative_noise_rejected(self, monkeypatch):
+        monkeypatch.setattr(synth, "NOISE_SIGMA", -0.1)
+        with pytest.raises(ValueError, match="NOISE_SIGMA must be positive"):
+            check_distribution(synth)
+
+    def test_bad_blob_count_rejected(self, monkeypatch):
+        monkeypatch.setattr(synth, "BLOB_COUNT", (0, 3))
+        with pytest.raises(ValueError, match="BLOB_COUNT must be positive"):
+            check_distribution(synth)
 
 
 class TestGenDataset:
