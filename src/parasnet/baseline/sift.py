@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filters import gaussian_blur
+from .filters import gaussian_blur_into
 
 DESCRIPTOR_SIZE = 128
 _SPATIAL_BINS = 4
@@ -63,16 +63,21 @@ def build_pyramid(image: np.ndarray, cfg: SiftConfig) -> list[np.ndarray]:
     sigmas = [SIGMA0 * _LEVEL_STEP**s for s in range(n_levels)]
 
     first_blur = np.sqrt(max(SIGMA0**2 - ASSUMED_BLUR**2, 0.01))
-    current = gaussian_blur(image.astype(np.float64), first_blur)
-    octaves = []
-    while min(current.shape) >= MIN_OCTAVE_SIDE and len(octaves) < cfg.max_octaves:
-        levels = [current]
+    octaves: list[np.ndarray] = []
+    shape = image.shape
+    while min(shape) >= MIN_OCTAVE_SIDE and len(octaves) < cfg.max_octaves:
+        # each level is blurred straight into its slot of the octave
+        octave = np.empty((n_levels, *shape))
+        if octaves:
+            # the level at twice the base blur seeds the next octave
+            octave[0] = octaves[-1][SCALES_PER_OCTAVE, ::2, ::2]
+        else:
+            gaussian_blur_into(image, first_blur, octave[0])
         for s in range(1, n_levels):
             diff = np.sqrt(sigmas[s] ** 2 - sigmas[s - 1] ** 2)
-            levels.append(gaussian_blur(levels[-1], diff))
-        octaves.append(np.stack(levels))
-        # the level at twice the base blur seeds the next octave
-        current = levels[SCALES_PER_OCTAVE][::2, ::2]
+            gaussian_blur_into(octave[s - 1], diff, octave[s])
+        octaves.append(octave)
+        shape = octave[SCALES_PER_OCTAVE, ::2, ::2].shape
     return octaves
 
 

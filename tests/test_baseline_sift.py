@@ -6,6 +6,8 @@ import pytest
 from parasnet import synth
 from parasnet.baseline import filters, sift
 
+import blur_ref
+
 
 def brute_force_gaussian_blur(image, sigma):
     kernel = filters.gaussian_kernel1d(sigma)
@@ -43,6 +45,60 @@ class TestFilters:
             want = brute_force_gaussian_blur(img, sigma)
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
+    @pytest.mark.parametrize("shape", [(70, 45), (244, 324), (122, 162), (61, 81)])
+    def test_blocked_blur_matches_the_tap_loop(self, shape):
+        # multi-block and ragged sizes: the pyramid's octaves at full
+        # resolution and one not divisible by the block on either axis,
+        # at the preprocess blur and four of the pyramid's, rounded
+        rng = np.random.default_rng(sum(shape))
+        img = rng.random(shape)
+        for sigma in (1.0, 1.2263, 1.5450, 2.4525, 3.0898):
+            got = filters.gaussian_blur(img, sigma)
+            np.testing.assert_allclose(got, blur_ref.gaussian_blur(img, sigma), rtol=1e-14, atol=0)
+
+    def test_radius_wider_than_the_image(self):
+        img = np.random.default_rng(15).random((8, 8))
+        assert len(filters.gaussian_kernel1d(3.09)) // 2 > 8
+        got = filters.gaussian_blur(img, 3.09)
+        np.testing.assert_allclose(got, blur_ref.gaussian_blur(img, 3.09), rtol=1e-14, atol=0)
+
+    def test_strided_and_float32_inputs(self):
+        rng = np.random.default_rng(16)
+        base = rng.random((245, 323))
+        # a next octave's seed is a [::2, ::2] view of a level
+        for img in (base[::2, ::2], base[3:200, 5:].T, base.astype(np.float32)):
+            got = filters.gaussian_blur(img, 1.6)
+            assert got.dtype == np.float64 and got.shape == img.shape
+            np.testing.assert_allclose(got, blur_ref.gaussian_blur(img, 1.6), rtol=1e-14, atol=0)
+        np.testing.assert_array_equal(
+            filters.gaussian_blur(base[::2, ::2], 1.6),
+            filters.gaussian_blur(np.ascontiguousarray(base[::2, ::2]), 1.6),
+        )
+
+    def test_band_is_cached_and_read_only(self):
+        band = filters._band(1.6)
+        assert filters._band(1.6) is band
+        assert not band.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            band[0, 0] = 1.0
+
+    def test_pyramid_levels_are_the_blur_bit_for_bit(self):
+        # each level is written in place, and a seed level is copied from
+        # a strided view, with no change to the bits gaussian_blur returns
+        img = np.random.default_rng(17).random((70, 45)).astype(np.float32)
+        step = 2.0 ** (1.0 / sift.SCALES_PER_OCTAVE)
+        sigmas = [sift.SIGMA0 * step**s for s in range(sift.SCALES_PER_OCTAVE + 3)]
+        diffs = [np.sqrt(b**2 - a**2) for a, b in zip(sigmas, sigmas[1:])]
+        current = filters.gaussian_blur(img, np.sqrt(sift.SIGMA0**2 - sift.ASSUMED_BLUR**2))
+        octaves = sift.build_pyramid(img, sift.SiftConfig())
+        assert len(octaves) == 2
+        for octave in octaves:
+            levels = [current]
+            for diff in diffs:
+                levels.append(filters.gaussian_blur(levels[-1], diff))
+            assert octave.tobytes() == np.stack(levels).tobytes()
+            current = levels[sift.SCALES_PER_OCTAVE][::2, ::2]
+
     def test_blur_preserves_constants(self):
         img = np.full((12, 15), 0.37)
         np.testing.assert_allclose(filters.gaussian_blur(img, 1.3), img, rtol=1e-12)
@@ -50,6 +106,8 @@ class TestFilters:
     def test_blur_rejects_wrong_rank(self):
         with pytest.raises(ValueError, match="2-d"):
             filters.gaussian_blur(np.zeros((4, 4, 1)), 1.0)
+        with pytest.raises(ValueError, match="2-d"):
+            filters.gaussian_blur(np.zeros((0, 4)), 1.0)
 
     def test_contrast_stretch_hits_full_range(self):
         rng = np.random.default_rng(1)
@@ -263,6 +321,25 @@ class TestExtremaMatchDenseReference:
                 img = synth.gen_sample(label, index, synth.GenConfig(), 5, "test")
                 for octave in sift.build_pyramid(filters.preprocess(img), cfg):
                     found += assert_same_extrema(sift.dog_stack(octave), cfg)
+        assert found > 0
+
+    def test_keypoints_of_synthetic_images_match_the_tap_loop_pipeline(self, monkeypatch):
+        # the blocked blur sums in another order; on these images no
+        # keypoint moves, appears or disappears
+        cfg = sift.SiftConfig()
+        found = 0
+        for label in (0, 1, 2):
+            for index in range(2):
+                img = synth.gen_sample(label, index, synth.GenConfig(), 5, "test")
+                got, got_desc = sift.detect_and_describe(filters.preprocess(img), cfg)
+                with monkeypatch.context() as m:
+                    m.setattr(sift, "build_pyramid", blur_ref.build_pyramid)
+                    want, want_desc = sift.detect_and_describe(blur_ref.preprocess(img), cfg)
+                assert [(k.octave, k.level, k.y, k.x, k.orientation) for k in got] == [
+                    (k.octave, k.level, k.y, k.x, k.orientation) for k in want
+                ]
+                np.testing.assert_allclose(got_desc, want_desc, rtol=0, atol=1e-13)
+                found += len(got)
         assert found > 0
 
     def test_integer_stacks_with_ties_and_plateaus(self):
