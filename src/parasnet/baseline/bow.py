@@ -8,6 +8,9 @@ import numpy as np
 # lowers the objective by no more than KMEANS_TOL of its previous value
 KMEANS_STEPS = 100
 KMEANS_TOL = 1e-6
+# build_vocabulary clusters a seeded random subset of at most this many
+# descriptors
+VOCAB_SAMPLES = 20000
 
 
 def _closest_sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -86,9 +89,7 @@ def kmeans(
     return centers, labels, history
 
 
-def build_vocabulary(
-    descriptors: np.ndarray, k: int = 64, seed: int = 0, max_samples: int = 20000
-) -> np.ndarray:
+def build_vocabulary(descriptors: np.ndarray, k: int = 64, seed: int = 0) -> np.ndarray:
     """Cluster a descriptor stack into k visual words."""
     descriptors = np.asarray(descriptors, dtype=np.float64)
     if descriptors.ndim != 2 or len(descriptors) < k:
@@ -96,9 +97,9 @@ def build_vocabulary(
             f"need at least {k} descriptors in a 2-d stack, "
             f"got shape {descriptors.shape}"
         )
-    if len(descriptors) > max_samples:
+    if len(descriptors) > VOCAB_SAMPLES:
         rng = np.random.default_rng(seed)
-        pick = rng.choice(len(descriptors), size=max_samples, replace=False)
+        pick = rng.choice(len(descriptors), size=VOCAB_SAMPLES, replace=False)
         descriptors = descriptors[np.sort(pick)]
     centers, _, _ = kmeans(descriptors, k, seed=seed)
     return centers

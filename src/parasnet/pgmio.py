@@ -22,6 +22,14 @@ from . import CLASS_NAMES, NUM_CLASSES
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_VERSION = 1
+# the largest manifest read_manifest parses; one that gen writes is
+# about 200 bytes
+MAX_MANIFEST_BYTES = 2**20
+# bounds on what read_pgm accepts: the header must end within the first
+# MAX_HEADER_BYTES bytes, and the image may hold at most MAX_PGM_PIXELS
+# pixels (4096x4096; a 2x capture of the 244x324 frame holds 316,224)
+MAX_HEADER_BYTES = 4096
+MAX_PGM_PIXELS = 2**24
 
 
 def write_pgm(path: str, image: np.ndarray) -> None:
@@ -46,6 +54,12 @@ def write_pgm(path: str, image: np.ndarray) -> None:
         fh.write(pixels.tobytes())
 
 
+def _header_ended(blob: bytes, path: str) -> ValueError:
+    if len(blob) < MAX_HEADER_BYTES:
+        return ValueError(f"{path}: header ended early")
+    return ValueError(f"{path}: header longer than {MAX_HEADER_BYTES} bytes")
+
+
 def _read_header_token(blob: bytes, pos: int, path: str) -> tuple[bytes, int]:
     n = len(blob)
     while pos < n:
@@ -58,7 +72,7 @@ def _read_header_token(blob: bytes, pos: int, path: str) -> tuple[bytes, int]:
         else:
             break
     if pos >= n:
-        raise ValueError(f"{path}: header ended early")
+        raise _header_ended(blob, path)
     start = pos
     while pos < n and not blob[pos : pos + 1].isspace():
         pos += 1
@@ -66,27 +80,47 @@ def _read_header_token(blob: bytes, pos: int, path: str) -> tuple[bytes, int]:
 
 
 def read_pgm(path: str) -> np.ndarray:
-    """Load a binary PGM as float32 in [0, 1]. Only maxval 255 is accepted."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:2] != b"P5":
-        raise ValueError(f"{path}: not a binary PGM (magic {blob[:2]!r})")
-    pos = 2
-    fields = []
-    for _ in range(3):
-        token, pos = _read_header_token(blob, pos, path)
-        try:
-            fields.append(int(token))
-        except ValueError:
-            raise ValueError(f"{path}: bad header token {token!r}") from None
-    w, h, maxval = fields
-    if maxval != 255:
-        raise ValueError(f"{path}: maxval {maxval} unsupported, expected 255")
-    if w < 1 or h < 1:
-        raise ValueError(f"{path}: bad dimensions {w}x{h}")
-    pos += 1  # the single whitespace byte after maxval
-    expected = w * h
-    data = blob[pos : pos + expected]
+    """Load a binary PGM as float32 in [0, 1]. Only maxval 255 is accepted.
+
+    The header must end within the first MAX_HEADER_BYTES bytes, the
+    image may hold at most MAX_PGM_PIXELS pixels, and the file must hold
+    exactly the header plus one byte per pixel. The caps and the file
+    size are checked before the pixels are read, so a long, sparse or
+    doctored file is refused without allocating what it declares.
+    """
+    # unbuffered, so the header and the pixels are one read each with no
+    # copy through a buffer
+    with open(path, "rb", buffering=0) as fh:
+        head = fh.read(MAX_HEADER_BYTES)
+        if head[:2] != b"P5":
+            raise ValueError(f"{path}: not a binary PGM (magic {head[:2]!r})")
+        pos = 2
+        fields = []
+        for _ in range(3):
+            token, pos = _read_header_token(head, pos, path)
+            try:
+                fields.append(int(token))
+            except ValueError:
+                raise ValueError(f"{path}: bad header token {token!r}") from None
+        if pos == MAX_HEADER_BYTES:
+            # the maxval token may go on past the prefix
+            raise _header_ended(head, path)
+        w, h, maxval = fields
+        if maxval != 255:
+            raise ValueError(f"{path}: maxval {maxval} unsupported, expected 255")
+        if w < 1 or h < 1:
+            raise ValueError(f"{path}: bad dimensions {w}x{h}")
+        if w * h > MAX_PGM_PIXELS:
+            raise ValueError(f"{path}: {w}x{h} is over the {MAX_PGM_PIXELS}-pixel limit")
+        start = pos + 1  # the single whitespace byte after maxval
+        expected = w * h
+        found = os.fstat(fh.fileno()).st_size - start
+        if found > expected:
+            raise ValueError(
+                f"{path}: {found - expected} trailing bytes after {expected} bytes of pixels"
+            )
+        fh.seek(start)
+        data = fh.read(expected)
     if len(data) != expected:
         raise ValueError(
             f"{path}: pixel data truncated, expected {expected} bytes, "
@@ -161,15 +195,21 @@ def _is_int_at_least(value, minimum: int) -> bool:
 def read_manifest(root: str) -> dict:
     """The parsed manifest.json; a malformed one raises ValueError.
 
-    The top level and "counts" must be JSON objects, "height" and
-    "width" positive integers, every key of "counts" a class name and
-    every count a non-negative integer. A class missing from "counts"
-    has no images.
+    A file over MAX_MANIFEST_BYTES is refused before it is read. The
+    top level and "counts" must be JSON objects, "height" and "width"
+    positive integers, every key of "counts" a class name and every
+    count a non-negative integer. A class missing from "counts" has no
+    images.
     """
     path = os.path.join(root, MANIFEST_NAME)
     if not os.path.exists(path):
         raise FileNotFoundError(f"no {MANIFEST_NAME} in {root}")
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size > MAX_MANIFEST_BYTES:
+            raise ValueError(
+                f"{path}: manifest is {size} bytes, over the {MAX_MANIFEST_BYTES}-byte limit"
+            )
         try:
             manifest = json.load(fh)
         except RecursionError:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from parasnet.baseline import bow
 from parasnet.baseline.bow import bow_histogram, build_vocabulary, kmeans
 
 
@@ -78,11 +79,12 @@ class TestVocabulary:
         vocab = build_vocabulary(desc, k=16, seed=0)
         assert vocab.shape == (16, 128)
 
-    def test_subsampling_is_seed_stable(self):
+    def test_subsampling_is_seed_stable(self, monkeypatch):
+        monkeypatch.setattr(bow, "VOCAB_SAMPLES", 200)
         rng = np.random.default_rng(6)
         desc = rng.random((500, 16))
-        a = build_vocabulary(desc, k=8, seed=3, max_samples=200)
-        b = build_vocabulary(desc, k=8, seed=3, max_samples=200)
+        a = build_vocabulary(desc, k=8, seed=3)
+        b = build_vocabulary(desc, k=8, seed=3)
         np.testing.assert_array_equal(a, b)
 
     def test_too_few_descriptors_is_an_error(self):

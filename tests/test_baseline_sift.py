@@ -7,6 +7,7 @@ from parasnet import synth
 from parasnet.baseline import filters, sift
 
 import blur_ref
+import sift_ref
 
 
 def brute_force_gaussian_blur(image, sigma):
@@ -388,3 +389,80 @@ class TestExtremaMatchDenseReference:
         dog[1, 4, 4] = np.nan
         assert assert_same_extrema(dog, cfg) == 0
         assert found > 0
+
+
+def assert_same_description(img, cfg=None):
+    got, got_desc = sift.detect_and_describe(img, cfg)
+    want, want_desc = sift_ref.detect_and_describe(img, cfg)
+    # repr compares every field's exact float, and the field types
+    assert repr(got) == repr(want)
+    assert got_desc.dtype == want_desc.dtype and got_desc.shape == want_desc.shape
+    assert np.array_equal(got_desc, want_desc)
+    return got
+
+
+def window_crosses_the_border(kp, shape):
+    """Whether kp's orientation window leaves its octave's plane."""
+    h, w = (-(-n // 2**kp.octave) for n in shape)
+    y, x = kp.y / 2.0**kp.octave, kp.x / 2.0**kp.octave
+    radius = sift._ORI_RADIUS[kp.level]
+    return min(y, x) < radius or y + radius >= h or x + radius >= w
+
+
+class TestDescriptionMatchesPerKeypointReference:
+    def test_synthetic_images(self):
+        cfg = sift.SiftConfig()
+        found = 0
+        for label in (0, 1, 2):
+            for index in range(2):
+                img = synth.gen_sample(label, index, synth.GenConfig(), 5, "test")
+                found += len(assert_same_description(filters.preprocess(img), cfg))
+        assert found > 0
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            sift.SiftConfig(),
+            sift.SiftConfig(max_keypoints=5),
+            sift.SiftConfig(contrast_thresh=0.0),
+        ],
+        ids=["default", "max-keypoints-5", "no-contrast-test"],
+    )
+    def test_small_random_images_with_windows_across_the_border(self, cfg):
+        rng = np.random.default_rng(18)
+        found = crossing = 0
+        for _ in range(12):
+            h, w = (int(n) for n in rng.integers(32, 131, size=2))
+            img = 0.1 * rng.random((h, w))
+            for _ in range(4):
+                img += gaussian_blob(
+                    h, w, float(rng.uniform(0, h)), float(rng.uniform(0, w)),
+                    float(rng.uniform(1.5, 5.0)), float(rng.uniform(-1.0, 1.0)),
+                )
+            kps = assert_same_description(img, cfg)
+            found += len(kps)
+            crossing += sum(window_crosses_the_border(k, img.shape) for k in kps)
+        assert crossing > 0 and found > crossing
+
+    def test_flat_image(self):
+        # the reference returns ([], zeros((0, 128)))
+        assert assert_same_description(np.full((40, 50), 0.25)) == []
+
+    def test_every_pixel_of_a_noise_octave(self):
+        # an orientation is only its histogram's argmax, so a few thousand
+        # noisy windows, many with near-ties, check the histogram sums
+        levels = np.random.default_rng(19).random((sift.SCALES_PER_OCTAVE + 3, 23, 26))
+        grid = np.meshgrid(np.arange(1, 4), np.arange(23), np.arange(26), indexing="ij")
+        lev, ys, xs = (a.ravel() for a in grid)
+        got = sift._orientations(levels, lev, ys, xs)
+        desc = sift._descriptors(levels, lev, ys, xs, got)
+        grads = {level: sift_ref.gradients(levels[level]) for level in (1, 2, 3)}
+        want, want_desc = [], []
+        for level, y, x in zip(lev.tolist(), ys.tolist(), xs.tolist()):
+            sigma_rel = sift._SIGMA_REL[level]
+            want.append(sift_ref.orientation(*grads[level], y, x, sigma_rel))
+            want_desc.append(sift_ref.descriptor(*grads[level], y, x, sigma_rel, want[-1]))
+        assert got.tolist() == want
+        for row in desc:
+            sift._normalise(row)
+        assert np.array_equal(desc, np.stack(want_desc))

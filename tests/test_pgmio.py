@@ -94,6 +94,58 @@ class TestHeaderParsing:
             pgmio.read_pgm(str(path))
 
 
+def _refusal_peak(read, path, match):
+    """tracemalloc's peak bytes while read(path) raised ValueError"""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=match):
+            read(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+class TestBoundedReads:
+    def test_a_sparse_pgm_tail_is_refused_before_reading(self, tmp_path):
+        path = str(tmp_path / "x.pgm")
+        pgmio.write_pgm(path, np.zeros((244, 324), dtype=np.float32))
+        os.truncate(path, 64 * 2**20)
+        assert _refusal_peak(pgmio.read_pgm, path, "trailing bytes") < 2**20
+
+    def test_an_over_cap_pgm_header_is_refused_before_reading(self, tmp_path):
+        # a sparse file exactly as long as its header implies, so only the
+        # cap stands between the header and the pixels
+        w, h = 4097, 4096
+        assert w * h > pgmio.MAX_PGM_PIXELS
+        header = f"P5\n{w} {h}\n255\n".encode("ascii")
+        path = tmp_path / "huge.pgm"
+        path.write_bytes(header)
+        os.truncate(path, len(header) + w * h)
+        assert _refusal_peak(pgmio.read_pgm, str(path), "pixel limit") < 2**20
+
+    def test_a_sparse_manifest_is_refused_before_reading(self, tmp_path):
+        images, labels = _tiny_dataset()
+        root = str(tmp_path / "data")
+        pgmio.write_dataset(root, images, labels, master_seed=0)
+        os.truncate(os.path.join(root, pgmio.MANIFEST_NAME), 64 * 2**20)
+        for read in (pgmio.read_manifest, pgmio.read_dataset):
+            assert _refusal_peak(read, root, "byte limit") < 2**20
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_the_header_must_end_within_the_prefix(self, tmp_path, extra):
+        tail = b"\n2 2\n255\n"
+        comment = b"x" * (pgmio.MAX_HEADER_BYTES + extra - len(b"P5\n#") - len(tail))
+        path = tmp_path / "chatty.pgm"
+        path.write_bytes(b"P5\n#" + comment + tail + bytes(range(4)))
+        if extra:
+            with pytest.raises(ValueError, match="header longer than"):
+                pgmio.read_pgm(str(path))
+        else:
+            want = np.arange(4, dtype=np.float32).reshape(2, 2) / 255.0
+            np.testing.assert_array_equal(pgmio.read_pgm(str(path)), want)
+
+
 class TestDownscale:
     def test_block_means(self):
         img = np.array(
