@@ -11,7 +11,6 @@ captures and pre-scaled images can be mixed.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 from typing import Iterable
@@ -79,14 +78,16 @@ def _read_header_token(blob: bytes, pos: int, path: str) -> tuple[bytes, int]:
     return blob[start:pos], pos
 
 
-def read_pgm(path: str) -> np.ndarray:
+def read_pgm(path: str, shapes: tuple[tuple[int, int], ...] | None = None) -> np.ndarray:
     """Load a binary PGM as float32 in [0, 1]. Only maxval 255 is accepted.
 
     The header must end within the first MAX_HEADER_BYTES bytes, the
     image may hold at most MAX_PGM_PIXELS pixels, and the file must hold
-    exactly the header plus one byte per pixel. The caps and the file
-    size are checked before the pixels are read, so a long, sparse or
-    doctored file is refused without allocating what it declares.
+    exactly the header plus one byte per pixel. If shapes is given, the
+    image's (height, width) must be one of them. The caps, the shape and
+    the file size are checked before the pixels are read, so a long,
+    sparse, doctored or wrong-sized file is refused without allocating
+    what it declares.
     """
     # unbuffered, so the header and the pixels are one read each with no
     # copy through a buffer
@@ -110,6 +111,9 @@ def read_pgm(path: str) -> np.ndarray:
             raise ValueError(f"{path}: maxval {maxval} unsupported, expected 255")
         if w < 1 or h < 1:
             raise ValueError(f"{path}: bad dimensions {w}x{h}")
+        if shapes is not None and (h, w) not in shapes:
+            wanted = " or ".join(f"{sw}x{sh}" for sh, sw in shapes)
+            raise ValueError(f"{path}: got {w}x{h}, expected {wanted}")
         if w * h > MAX_PGM_PIXELS:
             raise ValueError(f"{path}: {w}x{h} is over the {MAX_PGM_PIXELS}-pixel limit")
         start = pos + 1  # the single whitespace byte after maxval
@@ -160,8 +164,10 @@ def write_dataset(
     os.makedirs(root, exist_ok=True)
     for name in CLASS_NAMES:
         os.makedirs(os.path.join(root, name), exist_ok=True)
-    for image, label in itertools.zip_longest(images, labels):
-        if image is None or label is None:
+    images = iter(images)
+    for label in labels:
+        image = next(images, None)
+        if image is None:
             raise ValueError("images and labels disagree in length")
         if size is None:
             size = image.shape[:2]
@@ -171,6 +177,11 @@ def write_dataset(
         index = counts[int(label)]
         counts[int(label)] += 1
         write_pgm(os.path.join(root, name, f"{index:05d}.pgm"), image)
+        # dropped before the next image is made, so a generator's images
+        # are held one at a time
+        del image
+    if next(images, None) is not None:
+        raise ValueError("images and labels disagree in length")
     if size is None:
         raise ValueError("no images to write")
     manifest = {
@@ -244,14 +255,9 @@ def read_manifest(root: str) -> dict:
 
 def _read_image(path: str, h: int, w: int) -> np.ndarray:
     """The (h, w) image in a dataset file, downscaled if it is (2h, 2w)."""
-    img = read_pgm(path)
-    if img.shape == (2 * h, 2 * w):
-        return downscale_2x2(img)
+    img = read_pgm(path, ((h, w), (2 * h, 2 * w)))
     if img.shape != (h, w):
-        raise ValueError(
-            f"{path}: got {img.shape[1]}x{img.shape[0]}, expected "
-            f"{w}x{h} or {2 * w}x{2 * h}"
-        )
+        return downscale_2x2(img)
     return img
 
 
@@ -262,9 +268,10 @@ def read_dataset(root: str) -> tuple[np.ndarray, np.ndarray]:
     read into one array allocated up front. Files at twice the manifest
     resolution are downscaled on the fly. A listed file that is missing
     raises FileNotFoundError; a malformed manifest or image raises
-    ValueError. The manifest comes from outside, so the array is
-    allocated only once every listed file exists and the first holds an
-    image of the manifest's size.
+    ValueError, and a file of another size is refused after its header.
+    The manifest comes from outside, so the array is allocated only once
+    every listed file exists and the first holds an image of the
+    manifest's size.
     """
     manifest = read_manifest(root)
     h, w = manifest["height"], manifest["width"]

@@ -17,13 +17,35 @@ must hold the largest crypto object.
 Every sample is generated from its own seed sequence derived from
 (master seed, split, class, index), so any image can be regenerated in
 isolation and generation order does not matter.
+
+A sample draws all its parameters first, in a fixed order. The frame is
+then rendered STRIP_ROWS rows at a time, with in-place operations where
+they give the same bits, so the temporaries are few and small enough to
+be reused from the heap instead of being faulted in afresh. Each
+strip's sensor noise is drawn as it is rendered, which continues the
+random stream exactly as one whole-frame draw would. The
+giardia fringes are computed only on the box where their envelope is
+not exactly zero; outside it their product with the envelope is a
+signed zero, which leaves the rim as it is.
+
+Every Gaussian term is exp of an exponent that falls without bound away
+from its centre. Below about -708 the result is subnormal or zero, and
+numpy's exp takes a slow path for it (on an x86-64 Xeon with numpy 2.4,
+about 166 ns per subnormal result against 1.3 ns per normal one). So
+each exponent is floored at EXP_FLOOR = -700 first, and exp(-700),
+about 1e-304, is a normal number. This changes no output byte: a
+floored term and the value it replaces are both below 1e-303, and the
+term is only scaled by factors of at most 1 and summed, so it either
+vanishes in a larger partial sum or leaves a sum far below half an ulp
+of the background (at least 0.25) that every render is added to.
+Every other term is computed with the same float64 operations in the
+same order as the whole-frame reference renderers in tests/synth_ref.py.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -46,6 +68,12 @@ GIARDIA_CONTRAST = (0.55, 0.95)
 OTHERS_CONTRAST = (0.25, 0.6)
 BLOB_COUNT = (2, 5)
 SPECKLE_AMP = 0.05
+# floor of every Gaussian exponent; exp(EXP_FLOOR) is about 1e-304, a
+# normal float64 (see the module docstring)
+EXP_FLOOR = -700.0
+# rows rendered per pass; 32 rows of a 324-pixel frame are an 81 KiB
+# float64 temporary
+STRIP_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -71,113 +99,201 @@ class Dataset:
         return len(self.images)
 
 
-@lru_cache(maxsize=4)
-def _grids(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column coordinate grids, shared by every caller and
-    thread, so read-only."""
-    grids = np.mgrid[0:height, 0:width].astype(np.float64)
-    grids.flags.writeable = False
-    return grids[0], grids[1]
+# what a renderer returns once it has drawn its sample's parameters: a
+# function that renders the given rows of the frame as a fresh float64
+# array, drawing nothing more
+Painter = Callable[[slice], np.ndarray]
 
 
 def _uniform(rng: np.random.Generator, bounds: tuple[float, float]) -> float:
     return float(rng.uniform(bounds[0], bounds[1]))
 
 
-def _elliptic_radius(rng, height, width, radius_range, ecc_range, extra_reach):
-    """Common setup: placed, rotated elliptical radius field.
+def _gauss(d2: np.ndarray, two_var: float) -> np.ndarray:
+    """exp(-d2 / two_var), computed in place of d2, with the exponent
+    floored at EXP_FLOOR."""
+    # dividing by the negated constant gives the same bits as negating
+    # the dividend first
+    d2 /= -two_var
+    np.maximum(d2, EXP_FLOOR, out=d2)
+    return np.exp(d2, out=d2)
 
-    Returns (re, u, v, r0, ecc) where re equals r0 on the object
-    boundary, which is the curve (r0 cos t, r0 sin t / ecc) in (u, v).
+
+def _ring(re: np.ndarray, radius: float, sigma: float) -> np.ndarray:
+    """A unit Gaussian ridge of the elliptical radius re around radius."""
+    d2 = re - radius
+    d2 *= d2
+    return _gauss(d2, 2 * sigma**2)
+
+
+def _blob(y: np.ndarray, x: np.ndarray, cy: float, cx: float, sigma: float) -> np.ndarray:
+    """A unit Gaussian blob at (cy, cx). The coordinates y and x are
+    either arrays of one shape or a column and a row that broadcast."""
+    dy2 = y - cy
+    dy2 *= dy2
+    dx2 = x - cx
+    dx2 *= dx2
+    return _gauss(dy2 + dx2, 2 * sigma**2)
+
+
+def _ellipse(rng, cfg, radius_range, ecc_range, extra_reach):
+    """Common setup: a placed, rotated ellipse.
+
+    Returns (r0, ecc, coords), where coords(rows) gives the fields
+    (re, u, v) on those rows of the frame: (u, v) are the rotated
+    offsets from the centre, and re equals r0 on the object boundary,
+    which is the curve (r0 cos t, r0 sin t / ecc) in (u, v).
     """
     r0 = _uniform(rng, radius_range)
     ecc = _uniform(rng, ecc_range)
     angle = float(rng.uniform(0.0, np.pi))
     margin = 1.1 * (r0 + extra_reach) + 4
-    cy = float(rng.uniform(margin, height - margin))
-    cx = float(rng.uniform(margin, width - margin))
-    yy, xx = _grids(height, width)
-    dy, dx = yy - cy, xx - cx
+    cy = float(rng.uniform(margin, cfg.height - margin))
+    cx = float(rng.uniform(margin, cfg.width - margin))
     cos_a, sin_a = np.cos(angle), np.sin(angle)
-    u = cos_a * dx + sin_a * dy
-    v = -sin_a * dx + cos_a * dy
-    re = np.sqrt(u * u + (ecc * v) ** 2)
-    return re, u, v, r0, ecc
+    dx = np.arange(cfg.width, dtype=np.float64) - cx
+
+    def coords(rows: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        dy = np.arange(rows.start, rows.stop, dtype=np.float64)[:, None] - cy
+        u = cos_a * dx + sin_a * dy
+        v = -sin_a * dx + cos_a * dy
+        re = u * u
+        ev2 = ecc * v
+        ev2 *= ev2
+        re += ev2
+        np.sqrt(re, out=re)
+        return re, u, v
+
+    return r0, ecc, coords
 
 
-def _render_crypto(rng: np.random.Generator, cfg: GenConfig) -> np.ndarray:
+def _render_crypto(rng: np.random.Generator, cfg: GenConfig) -> Painter:
     period = _uniform(rng, CRYPTO_PERIOD)
     amp = _uniform(rng, CRYPTO_CONTRAST)
-    re, u, v, r0, ecc = _elliptic_radius(
-        rng, cfg.height, cfg.width, CRYPTO_RADIUS, CRYPTO_ECC, period
-    )
+    r0, ecc, coords = _ellipse(rng, cfg, CRYPTO_RADIUS, CRYPTO_ECC, period)
     # the double wall is drawn as soft ridges plus bead-like spots sitting
     # on the inner ring; each bead on its own looks just like one of the
     # random blobs of the catch-all class, only the arrangement differs
-    wall = 0.45 * np.exp(-((re - r0) ** 2) / (2 * 3.0**2))
-    halo = 0.6 * np.exp(-((re - (r0 + period)) ** 2) / (2 * 6.0**2))
-    beads = np.zeros_like(re)
-    n_beads = int(rng.integers(0, 5))
-    for _ in range(n_beads):
+    bead_params = []
+    for _ in range(int(rng.integers(0, 5))):
         theta = float(rng.uniform(0.0, 2 * np.pi))
         sigma = float(rng.uniform(6.0, 10.0))
         sign = 1.0 if rng.random() < 0.75 else -1.0
         strength = float(rng.uniform(0.35, 0.6))
-        bu = r0 * np.cos(theta)
-        bv = r0 * np.sin(theta) / ecc
-        bd2 = (u - bu) ** 2 + (v - bv) ** 2
-        beads += sign * strength * np.exp(-bd2 / (2 * sigma**2))
-    return amp * (wall + halo + beads)
+        bu, bv = r0 * np.cos(theta), r0 * np.sin(theta) / ecc
+        bead_params.append((bu, bv, sigma, sign * strength))
+
+    def paint(rows: slice) -> np.ndarray:
+        re, u, v = coords(rows)
+        out = _ring(re, r0, 3.0)
+        out *= 0.45
+        halo = _ring(re, r0 + period, 6.0)
+        halo *= 0.6
+        out += halo
+        beads = np.zeros_like(re)
+        for bu, bv, sigma, weight in bead_params:
+            bead = _blob(u, v, bu, bv, sigma)
+            bead *= weight
+            beads += bead
+        out += beads
+        out *= amp
+        return out
+
+    return paint
 
 
-def _render_giardia(rng: np.random.Generator, cfg: GenConfig) -> np.ndarray:
+def _render_giardia(rng: np.random.Generator, cfg: GenConfig) -> Painter:
     period = _uniform(rng, GIARDIA_PERIOD)
     amp = _uniform(rng, GIARDIA_CONTRAST)
-    re, u, v, r0, _ = _elliptic_radius(
-        rng, cfg.height, cfg.width, GIARDIA_RADIUS, GIARDIA_ECC, 0.0
-    )
+    r0, _, coords = _ellipse(rng, cfg, GIARDIA_RADIUS, GIARDIA_ECC, 0.0)
     phase = float(rng.uniform(0.0, 2 * np.pi))
-    envelope = 0.5 * (1.0 + np.tanh((r0 - re) / 4.0))
-    fringes = np.cos(2 * np.pi * re / period + phase)
-    rim = 0.6 * np.exp(-((re - r0) ** 2) / (2 * 2.0**2))
     # dark nuclei inside the body, like the organism shows
-    nuclei = np.zeros_like(re)
+    nuclei_params = []
     for _ in range(int(rng.integers(3, 5))):
         na = float(rng.uniform(0.0, 2 * np.pi))
         nr = float(rng.uniform(0.15, 0.45)) * r0
         ns = float(rng.uniform(2.5, 4.5))
-        nd2 = (u - nr * np.cos(na)) ** 2 + (v - nr * np.sin(na)) ** 2
-        nuclei -= 0.8 * np.exp(-nd2 / (2 * ns**2))
-    return amp * (0.7 * fringes * envelope + rim + nuclei)
+        nuclei_params.append((nr * np.cos(na), nr * np.sin(na), ns))
+
+    def paint(rows: slice) -> np.ndarray:
+        re, u, v = coords(rows)
+        envelope = r0 - re
+        envelope /= 4.0
+        np.tanh(envelope, out=envelope)
+        envelope += 1.0
+        envelope *= 0.5
+        rim = _ring(re, r0, 2.0)
+        rim *= 0.6
+        nuclei = np.zeros_like(re)
+        for nu, nv, ns in nuclei_params:
+            nucleus = _blob(u, v, nu, nv, ns)
+            nucleus *= 0.8
+            nuclei -= nucleus
+        # the fringes only where the envelope is not exactly 0; elsewhere
+        # their product with it is a signed zero, which leaves the rim as is
+        inside = envelope != 0.0
+        ys = np.flatnonzero(inside.any(axis=1))
+        xs = np.flatnonzero(inside.any(axis=0))
+        if ys.size:
+            box = np.s_[ys[0] : ys[-1] + 1, xs[0] : xs[-1] + 1]
+            fringes = (2 * np.pi) * re[box]
+            fringes /= period
+            fringes += phase
+            np.cos(fringes, out=fringes)
+            fringes *= 0.7
+            fringes *= envelope[box]
+            rim[box] += fringes
+        rim += nuclei
+        rim *= amp
+        return rim
+
+    return paint
 
 
-def _render_others(rng: np.random.Generator, cfg: GenConfig) -> np.ndarray:
+def _render_others(rng: np.random.Generator, cfg: GenConfig) -> Painter:
     amp = _uniform(rng, OTHERS_CONTRAST)
     count = int(rng.integers(BLOB_COUNT[0], BLOB_COUNT[1] + 1))
-    yy, xx = _grids(cfg.height, cfg.width)
-    delta = np.zeros((cfg.height, cfg.width))
+    blobs = []
     for _ in range(count):
         by = float(rng.uniform(10, cfg.height - 10))
         bx = float(rng.uniform(10, cfg.width - 10))
         sigma = float(rng.uniform(5.0, 22.0))
         sign = 1.0 if rng.random() < 0.5 else -1.0
         strength = float(rng.uniform(0.25, 0.6))
-        delta += (
-            sign
-            * strength
-            * amp
-            * np.exp(-((yy - by) ** 2 + (xx - bx) ** 2) / (2 * sigma**2))
-        )
-    return delta + _speckle(rng, cfg)
+        blobs.append((by, bx, sigma, sign * strength * amp))
+    speckle = rng.normal(0.0, 1.0, (cfg.height, cfg.width))
+    xx = np.arange(cfg.width, dtype=np.float64)
+
+    def paint(rows: slice) -> np.ndarray:
+        yy = np.arange(rows.start, rows.stop, dtype=np.float64)[:, None]
+        delta = np.zeros((len(yy), cfg.width))
+        for by, bx, sigma, weight in blobs:
+            blob = _blob(yy, xx, by, bx, sigma)
+            blob *= weight
+            delta += blob
+        delta += _speckle(speckle, rows)
+        return delta
+
+    return paint
 
 
-def _speckle(rng: np.random.Generator, cfg: GenConfig) -> np.ndarray:
-    """Fine debris texture: white noise through a 3x3 box filter."""
-    e = rng.normal(0.0, 1.0, (cfg.height, cfg.width))
-    p = np.pad(e, 1, mode="edge")
-    rows = p[:-2] + p[1:-1] + p[2:]
-    box = (rows[:, :-2] + rows[:, 1:-1] + rows[:, 2:]) / 9.0
-    return 3.0 * SPECKLE_AMP * box
+def _speckle(noise: np.ndarray, rows: slice) -> np.ndarray:
+    """Rows of the fine debris texture: the frame's white noise through
+    an edge-padded 3x3 box filter, times 3 SPECKLE_AMP."""
+    height = len(noise)
+    lo, hi = rows.start - 1, rows.stop + 1
+    p = np.pad(
+        noise[max(lo, 0) : min(hi, height)],
+        ((int(lo < 0), int(hi > height)), (1, 1)),
+        mode="edge",
+    )
+    sums = p[:-2] + p[1:-1]
+    sums += p[2:]
+    box = sums[:, :-2] + sums[:, 1:-1]
+    box += sums[:, 2:]
+    box /= 9.0
+    box *= 3.0 * SPECKLE_AMP
+    return box
 
 
 _RENDERERS = {OTHERS: _render_others, CRYPTO: _render_crypto, GIARDIA: _render_giardia}
@@ -203,10 +319,16 @@ def gen_sample(
         raise ValueError(f"label must be 0, 1 or 2, got {label}")
     rng = sample_rng(master_seed, split, label, index)
     background = _uniform(rng, BACKGROUND)
-    img = np.full((config.height, config.width), background)
-    img += _RENDERERS[label](rng, config)
-    img += rng.normal(0.0, NOISE_SIGMA, img.shape)
-    return np.clip(img, 0.0, 1.0).astype(np.float32)[:, :, None]
+    paint = _RENDERERS[label](rng, config)
+    img = np.empty((config.height, config.width, 1), np.float32)
+    for start in range(0, config.height, STRIP_ROWS):
+        rows = slice(start, min(start + STRIP_ROWS, config.height))
+        strip = paint(rows)
+        strip += background
+        strip += rng.normal(0.0, NOISE_SIGMA, strip.shape)
+        np.clip(strip, 0.0, 1.0, out=strip)
+        img[rows, :, 0] = strip
+    return img
 
 
 def split_labels(per_class: int) -> np.ndarray:

@@ -132,6 +132,19 @@ class TestBoundedReads:
         for read in (pgmio.read_manifest, pgmio.read_dataset):
             assert _refusal_peak(read, root, "byte limit") < 2**20
 
+    @pytest.mark.parametrize("name", ["others/00000.pgm", "giardia/00001.pgm"])
+    def test_a_wrong_sized_dataset_file_is_refused_after_its_header(self, tmp_path, name):
+        images, labels = _tiny_dataset()
+        root = tmp_path / "data"
+        pgmio.write_dataset(str(root), images, labels, master_seed=0)
+        # a valid 2048x2048 image, sparse on disk, in an 8x12 dataset
+        header = b"P5\n2048 2048\n255\n"
+        path = root / name
+        path.write_bytes(header)
+        os.truncate(path, len(header) + 2048 * 2048)
+        match = "got 2048x2048, expected 12x8 or 24x16"
+        assert _refusal_peak(pgmio.read_dataset, str(root), match) < 2**20
+
     @pytest.mark.parametrize("extra", [0, 1])
     def test_the_header_must_end_within_the_prefix(self, tmp_path, extra):
         tail = b"\n2 2\n255\n"

@@ -1,11 +1,15 @@
 """Generator determinism, morphology statistics, and separability checks."""
 
+import hashlib
+import threading
 import time
 
 import numpy as np
 import pytest
 
 from parasnet import INPUT_HEIGHT, INPUT_WIDTH, synth
+
+import synth_ref
 
 
 def dominant_period(img, min_period=4.0, max_period=90.0):
@@ -63,6 +67,66 @@ class TestDeterminism:
                 img = synth.gen_sample(label, index, cfg, 1, "train")
                 seen.add(img.tobytes())
         assert len(seen) == 30
+
+
+# sha256 of np.rint(gen_sample(label, i, GenConfig(), 7, "train") * 255)
+# as uint8, i = 0..3 in turn: the bytes `parasnet gen` writes, which
+# stay the same across CPUs even where float64 results differ in the
+# last bits
+GOLDEN_SHA256 = {
+    0: "2592306824c12e74c10bd36021775fe4f0b771fe0a003d89328340a11dae77ea",
+    1: "50c163bd29022cebb18296c8cb5c55ce39998452514fc4f393a2d1d9e330c8e8",
+    2: "e0c458daa2037b56be0609f361cde4e546fd2394dcdf1d7d3fd2c5032fa435ad",
+}
+
+
+class TestMatchesReference:
+    """gen_sample against the whole-frame renderers of synth_ref."""
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    @pytest.mark.parametrize("seed", [0, 5, 123])
+    def test_same_bytes_as_the_reference(self, seed, split):
+        cfg = synth.GenConfig()
+        for label in range(3):
+            for index in range(3):
+                got = synth.gen_sample(label, index, cfg, seed, split)
+                want = synth_ref.gen_sample(label, index, cfg, seed, split)
+                assert got.tobytes() == want.tobytes(), (label, index)
+
+    @pytest.mark.parametrize("size", [(200, 200), (260, 400)])
+    def test_same_bytes_on_other_frames(self, size):
+        cfg = synth.GenConfig(*size)
+        for label in range(3):
+            for index in range(2):
+                got = synth.gen_sample(label, index, cfg, 11, "train")
+                want = synth_ref.gen_sample(label, index, cfg, 11, "train")
+                assert got.tobytes() == want.tobytes(), (label, index)
+
+    @pytest.mark.parametrize("rows", [1, 7, 244])
+    def test_strip_height_does_not_change_the_bytes(self, monkeypatch, rows):
+        cfg = synth.GenConfig()
+        want = [synth.gen_sample(label, 1, cfg, 3, "test").tobytes() for label in range(3)]
+        monkeypatch.setattr(synth, "STRIP_ROWS", rows)
+        got = [synth.gen_sample(label, 1, cfg, 3, "test").tobytes() for label in range(3)]
+        assert got == want
+
+    @pytest.mark.parametrize("label", [0, 1, 2])
+    def test_written_pixels_match_the_golden_hash(self, label):
+        cfg = synth.GenConfig()
+        digest = hashlib.sha256()
+        for index in range(4):
+            img = synth.gen_sample(label, index, cfg, 7, "train")
+            digest.update(np.rint(img * 255.0).astype(np.uint8).tobytes())
+        assert digest.hexdigest() == GOLDEN_SHA256[label]
+
+    def test_no_exponential_underflows(self):
+        # a subnormal exp result costs about a hundred times a normal one,
+        # so the floor on every exponent must keep them all normal
+        cfg = synth.GenConfig()
+        with np.errstate(under="raise"):
+            for label in range(3):
+                for index in range(10):
+                    synth.gen_sample(label, index, cfg, 2, "train")
 
 
 class TestSampleProperties:
@@ -183,11 +247,24 @@ class TestDistribution:
     def test_ranges_are_ordered_positive_and_separable(self):
         check_distribution(synth)
 
-    def test_cached_grids_are_read_only(self):
-        yy, xx = synth._grids(40, 50)
-        for grid in (yy, xx):
-            with pytest.raises(ValueError, match="read-only"):
-                grid[0, 0] = 1.0
+    def test_threads_generate_identical_bytes(self):
+        cfg = synth.GenConfig()
+        coords = [(label, index) for label in range(3) for index in range(4)]
+        results = [[], []]
+
+        def work(out):
+            for label, index in coords:
+                out.append(synth.gen_sample(label, index, cfg, 9, "train").tobytes())
+
+        threads = [threading.Thread(target=work, args=(out,)) for out in results]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        expected = [synth.gen_sample(*c, cfg, 9, "train").tobytes() for c in coords]
+        assert results[0] == expected
+        assert results[1] == expected
 
 
 class TestGenConfig:
