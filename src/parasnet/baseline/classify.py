@@ -24,6 +24,9 @@ SVM_LAMBDA = 1e-4
 # share of the training images held out to fit the Platt calibration
 CALIBRATION_FRACTION = 0.25
 PLATT_STEPS = 100
+# below this gap between the calibrated SVM's top two probabilities,
+# naive Bayes blends in
+GAP_THRESHOLD = 0.2
 
 
 class BaselineFileError(Exception):
@@ -182,7 +185,7 @@ def svm_scores(model: BaselineModel, hist: np.ndarray) -> np.ndarray:
 
 
 def predict_proba_hist(
-    model: BaselineModel, hist: np.ndarray, gap_threshold: float = 0.2
+    model: BaselineModel, hist: np.ndarray, gap_threshold: float = GAP_THRESHOLD
 ) -> np.ndarray:
     raw = platt_prob(svm_scores(model, hist), model.platt[:, 0], model.platt[:, 1])
     total = raw.sum()
@@ -196,17 +199,22 @@ def predict_proba_hist(
     return np.exp(mixed)
 
 
+def describe(image: np.ndarray) -> np.ndarray:
+    """The (K, 128) keypoint descriptors of a raw image."""
+    _, descriptors = detect_and_describe(filters.preprocess(image))
+    return descriptors
+
+
 class SiftBowClassifier:
     """Full image-to-label pipeline around a trained BaselineModel."""
 
-    def __init__(self, model: BaselineModel, gap_threshold: float = 0.2):
+    def __init__(self, model: BaselineModel, gap_threshold: float = GAP_THRESHOLD):
         self.model = model
         self.gap_threshold = gap_threshold
 
     def histogram(self, image: np.ndarray) -> tuple[np.ndarray, int]:
         """BoW histogram and the number of keypoints behind it."""
-        prepared = filters.preprocess(image)
-        _, descriptors = detect_and_describe(prepared)
+        descriptors = describe(image)
         return bow.bow_histogram(descriptors, self.model.vocabulary), len(descriptors)
 
     def predict_proba_one(self, image: np.ndarray) -> np.ndarray:
@@ -248,8 +256,7 @@ def train_baseline(
     per_image = []
     pool = []
     for i, image in enumerate(images):
-        prepared = filters.preprocess(image)
-        _, descriptors = detect_and_describe(prepared)
+        descriptors = describe(image)
         per_image.append(descriptors)
         if len(descriptors):
             pool.append(descriptors)

@@ -10,8 +10,11 @@ shortcuts trade a little matching quality for a lot less code.
 The scale-space constants are Lowe's (2004, "Distinctive Image Features
 from Scale-Invariant Keypoints"): base blur SIGMA0 = 1.6, three scales
 per octave, and an input that already carries a blur of ASSUMED_BLUR =
-0.5. Octaves stop below MIN_OCTAVE_SIDE pixels, this implementation's
-own limit.
+0.5. A keypoint must clear a DoG contrast of CONTRAST_THRESH = 0.03 and
+a principal-curvature ratio of EDGE_RATIO = 10. Octaves stop below
+MIN_OCTAVE_SIDE pixels or after MAX_OCTAVES, and an image keeps at most
+MAX_KEYPOINTS keypoints; those three are this implementation's own
+limits.
 
 Detection makes one pass per octave: the contrast test runs over the
 whole DoG stack at once, and only the flat indices it keeps (a few
@@ -38,6 +41,12 @@ SIGMA0 = 1.6
 SCALES_PER_OCTAVE = 3
 ASSUMED_BLUR = 0.5
 MIN_OCTAVE_SIDE = 16
+CONTRAST_THRESH = 0.03
+EDGE_RATIO = 10.0
+# on small microscopy crops the very coarse octaves respond to whole
+# organisms rather than local texture, so the pyramid stops early
+MAX_OCTAVES = 3
+MAX_KEYPOINTS = 512
 # scale ratio between neighbouring levels of an octave
 _LEVEL_STEP = 2.0 ** (1.0 / SCALES_PER_OCTAVE)
 
@@ -54,16 +63,6 @@ _DESC_CELL_BIN = (np.arange(16)[:, None] // 4 * _SPATIAL_BINS + np.arange(16) //
 
 
 @dataclass
-class SiftConfig:
-    contrast_thresh: float = 0.03
-    edge_ratio: float = 10.0
-    # on small microscopy crops the very coarse octaves respond to whole
-    # organisms rather than local texture, so the pyramid stops early
-    max_octaves: int = 3
-    max_keypoints: int = 512
-
-
-@dataclass
 class Keypoint:
     y: float
     x: float
@@ -74,7 +73,7 @@ class Keypoint:
     response: float
 
 
-def build_pyramid(image: np.ndarray, cfg: SiftConfig) -> list[np.ndarray]:
+def build_pyramid(image: np.ndarray) -> list[np.ndarray]:
     """Gaussian octaves; each is (levels, h, w) with levels = scales + 3."""
     if image.ndim != 2:
         raise ValueError(f"expected a 2-d image, got shape {image.shape}")
@@ -82,7 +81,7 @@ def build_pyramid(image: np.ndarray, cfg: SiftConfig) -> list[np.ndarray]:
     first_blur = np.sqrt(max(SIGMA0**2 - ASSUMED_BLUR**2, 0.01))
     octaves: list[np.ndarray] = []
     shape = image.shape
-    while min(shape) >= MIN_OCTAVE_SIDE and len(octaves) < cfg.max_octaves:
+    while min(shape) >= MIN_OCTAVE_SIDE and len(octaves) < MAX_OCTAVES:
         # each level is blurred straight into its slot of the octave
         octave = np.empty((n_levels, *shape))
         if octaves:
@@ -102,10 +101,10 @@ def dog_stack(octave_levels: np.ndarray) -> np.ndarray:
     return octave_levels[1:] - octave_levels[:-1]
 
 
-def _find_extrema(dog: np.ndarray, cfg: SiftConfig) -> list[tuple[int, int, int, float]]:
+def _find_extrema(dog: np.ndarray) -> list[tuple[int, int, int, float]]:
     """(level, y, x, value) of 26-neighbour strict extrema passing both tests.
 
-    The cheap contrast test |D| >= contrast_thresh runs first, as in
+    The cheap contrast test |D| >= CONTRAST_THRESH runs first, as in
     Lowe's detector, over all inner levels at once with the border rows
     and columns cleared; np.flatnonzero gives the survivors (a few
     percent) as flat indices in level-major, row-major order. The first
@@ -118,8 +117,7 @@ def _find_extrema(dog: np.ndarray, cfg: SiftConfig) -> list[tuple[int, int, int,
     plane = height * width
     flat = dog.reshape(-1)
     inner = dog[1:-1]
-    threshold = cfg.contrast_thresh
-    mask = (inner >= threshold) | (inner <= -threshold)
+    mask = (inner >= CONTRAST_THRESH) | (inner <= -CONTRAST_THRESH)
     mask[:, [0, -1], :] = False
     mask[:, :, [0, -1]] = False
     idx = np.flatnonzero(mask) + plane
@@ -150,7 +148,7 @@ def _find_extrema(dog: np.ndarray, cfg: SiftConfig) -> list[tuple[int, int, int,
     ) / 4.0
     trace = dxx + dyy
     det = dxx * dyy - dxy * dxy
-    edge_limit = (cfg.edge_ratio + 1.0) ** 2 / cfg.edge_ratio
+    edge_limit = (EDGE_RATIO + 1.0) ** 2 / EDGE_RATIO
     keep = (det > 0) & (trace * trace / np.where(det > 0, det, 1.0) < edge_limit)
     idx = idx[keep]
     lev, rest = np.divmod(idx, plane)
@@ -249,24 +247,21 @@ def _normalise(desc: np.ndarray) -> None:
         desc /= norm
 
 
-def detect_and_describe(
-    image: np.ndarray, cfg: SiftConfig | None = None
-) -> tuple[list[Keypoint], np.ndarray]:
+def detect_and_describe(image: np.ndarray) -> tuple[list[Keypoint], np.ndarray]:
     """Keypoints in base-image coordinates plus their (K, 128) descriptors."""
-    cfg = cfg or SiftConfig()
     if min(image.shape[:2]) < 32:
         raise ValueError(
             f"image too small for keypoint detection: {image.shape[1]}x{image.shape[0]}"
         )
-    octaves = build_pyramid(image, cfg)
+    octaves = build_pyramid(image)
 
     candidates = []
     for oct_idx, levels in enumerate(octaves):
-        for lev, y, x, value in _find_extrema(dog_stack(levels), cfg):
+        for lev, y, x, value in _find_extrema(dog_stack(levels)):
             candidates.append((oct_idx, lev, y, x, value))
     # strongest responses first, capped to keep descriptor cost bounded
     candidates.sort(key=lambda c: -abs(c[4]))
-    candidates = candidates[: cfg.max_keypoints]
+    candidates = candidates[:MAX_KEYPOINTS]
     if not candidates:
         return [], np.zeros((0, DESCRIPTOR_SIZE))
 

@@ -47,6 +47,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    """A generator seed: numpy takes only non-negative integers."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text}")
+    return value
+
+
 def _float(text: str) -> float:
     """text as a float, or NaN, which fails every range test, for text
     that is not a number."""
@@ -93,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     train_opts.add_argument("--epochs", type=_positive_int, default=30)
     train_opts.add_argument("--batch", type=_positive_int, default=8)
     train_opts.add_argument("--lr", type=_positive_finite, default=0.001)
-    train_opts.add_argument("--seed", type=int, default=0)
+    train_opts.add_argument("--seed", type=_seed, default=0)
     train_opts.add_argument("--no-augment", action="store_true",
                             help="disable shifts, flips, rotations and zooms during training")
 
@@ -105,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", parents=[common], help="write a synthetic dataset")
     p.add_argument("--out", default=os.path.join(out, "dataset"),
                    help="dataset root directory")
-    p.add_argument("--seed", type=int, default=7, help="master generator seed")
+    p.add_argument("--seed", type=_seed, default=7, help="master generator seed")
     p.add_argument("--train", type=_positive_int, default=300,
                    help="training images per class")
     p.add_argument("--test", type=_positive_int, default=100,
@@ -137,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--filters", type=_filter_list, default=[2, 4, 8, 16],
                    help="comma-separated filter counts")
-    p.add_argument("--init-seed", type=int, default=0,
+    p.add_argument("--init-seed", type=_seed, default=0,
                    help="weight initialization seed, shared by all widths")
     p.add_argument("--out", default=os.path.join(out, "sweep.csv"))
     p.set_defaults(func=_cmd_sweep)
@@ -149,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", choices=("train", "test"), default="test")
     p.add_argument("--perplexity", type=float, default=30.0)
     p.add_argument("--iters", type=_positive_int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=os.path.join(out, "embedding.csv"))
     p.set_defaults(func=_cmd_embed)
 
@@ -159,7 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", type=_positive_int, default=64,
                    help="visual vocabulary size")
     p.add_argument("--svm-epochs", type=_positive_int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
+    # classify.GAP_THRESHOLD, written out so that parsing imports no numpy
     p.add_argument("--gap", type=_gap_threshold, default=0.2,
                    help="confidence gap in [0, 1] under which naive Bayes blends in")
     p.add_argument("--out", default=os.path.join(out, "baseline.pbas"))
@@ -225,7 +234,7 @@ def _train_config(args: argparse.Namespace):
         batch_size=args.batch,
         learning_rate=args.lr,
         seed=args.seed,
-        augment=None if args.no_augment else training.AugmentConfig(),
+        augment=not args.no_augment,
     )
 
 
@@ -296,8 +305,11 @@ def _cmd_embed(args: argparse.Namespace) -> int:
         fh.write("x,y,label\n")
         for (x, y), label in zip(embedding, labels):
             fh.write(f"{x:.6f},{y:.6f},{int(label)}\n")
-    score = evaluation.silhouette_score(embedding, labels)
-    print(f"embedded {len(images)} images, silhouette {score:.4f}")
+    line = f"embedded {len(images)} images"
+    # a silhouette compares clusters, so a split of one class has none
+    if len(set(labels.tolist())) >= 2:
+        line += f", silhouette {evaluation.silhouette_score(embedding, labels):.4f}"
+    print(line)
     print(f"embedding -> {args.out}")
     return 0
 
@@ -328,7 +340,7 @@ def _load_baseline(path: str):
 
     model = classify.load_baseline(path)
     try:
-        gap = _gap_threshold(model.meta.get("gap_threshold", "0.2"))
+        gap = _gap_threshold(model.meta.get("gap_threshold", str(classify.GAP_THRESHOLD)))
     except argparse.ArgumentTypeError as err:
         raise classify.BaselineFileError(f"{path}: gap_threshold: {err}") from None
     return classify.SiftBowClassifier(model, gap_threshold=gap)

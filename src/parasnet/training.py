@@ -8,7 +8,7 @@ plain categorical cross-entropy of the hot class only.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -18,6 +18,10 @@ from . import model as pm
 PROB_CLAMP = 1e-7
 # fit's step size is learning_rate * LR_DECAY**t after t updates
 LR_DECAY = 0.9999
+# Adam's moment decay rates and the term that keeps its step finite
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 @dataclass
@@ -39,16 +43,13 @@ def adam_step(
     grads: list[np.ndarray],
     state: AdamState,
     lr: float = 0.001,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    epsilon: float = 1e-8,
     decay: float = 1.0,
 ) -> None:
     """One Adam update, applied to the parameter arrays in place.
 
     The step size is lr * decay**t with t counting updates from 1, so
-    decay=1.0 means a constant learning rate. epsilon sits outside the
-    square root.
+    decay=1.0 means a constant learning rate. ADAM_EPSILON sits outside
+    the square root.
     """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ValueError(
@@ -58,14 +59,14 @@ def adam_step(
     state.t += 1
     t = state.t
     alpha = lr * decay**t
-    c1 = 1.0 - beta1**t
-    c2 = 1.0 - beta2**t
+    c1 = 1.0 - ADAM_BETA1**t
+    c2 = 1.0 - ADAM_BETA2**t
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        p -= alpha * (m / c1) / (np.sqrt(v / c2) + epsilon)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        p -= alpha * (m / c1) / (np.sqrt(v / c2) + ADAM_EPSILON)
 
 
 def bce_loss_batch(probs: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
@@ -88,12 +89,13 @@ def bce_loss_batch(probs: np.ndarray, targets: np.ndarray) -> tuple[float, np.nd
     return loss, d.astype(probs.dtype)
 
 
-@dataclass
-class AugmentConfig:
-    max_shift: float = 0.1
-    flip_prob: float = 0.5
-    max_rotate_deg: float = 15.0
-    zoom_range: tuple[float, float] = (0.9, 1.1)
+# augment's ranges: a shift of up to this share of each side, each flip
+# with this probability, a rotation of up to this many degrees either
+# way, and a zoom factor drawn from this interval
+MAX_SHIFT = 0.1
+FLIP_PROB = 0.5
+MAX_ROTATE_DEG = 15.0
+ZOOM_RANGE = (0.9, 1.1)
 
 
 # _resample_nn fills this many output rows at a time, so that its
@@ -179,7 +181,7 @@ def _shift(img: np.ndarray, dy: int, dx: int, fill: float) -> np.ndarray:
     return out
 
 
-def augment(image: np.ndarray, cfg: AugmentConfig, rng: np.random.Generator) -> np.ndarray:
+def augment(image: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Random shift, flips, rotation, zoom, in that order.
 
     Resampling is nearest-neighbour and uncovered pixels take the image
@@ -198,14 +200,14 @@ def augment(image: np.ndarray, cfg: AugmentConfig, rng: np.random.Generator) -> 
     if image.ndim != 3 or image.shape[2] != 1:
         raise ValueError(f"expected (h, w, 1) image, got {image.shape}")
     h, w = image.shape[:2]
-    max_dy = int(round(h * cfg.max_shift))
-    max_dx = int(round(w * cfg.max_shift))
+    max_dy = int(round(h * MAX_SHIFT))
+    max_dx = int(round(w * MAX_SHIFT))
     dy = int(rng.integers(-max_dy, max_dy + 1))
     dx = int(rng.integers(-max_dx, max_dx + 1))
-    flip_lr = rng.random() < cfg.flip_prob
-    flip_ud = rng.random() < cfg.flip_prob
-    angle = float(rng.uniform(-cfg.max_rotate_deg, cfg.max_rotate_deg))
-    zoom = float(rng.uniform(cfg.zoom_range[0], cfg.zoom_range[1]))
+    flip_lr = rng.random() < FLIP_PROB
+    flip_ud = rng.random() < FLIP_PROB
+    angle = float(rng.uniform(-MAX_ROTATE_DEG, MAX_ROTATE_DEG))
+    zoom = float(rng.uniform(ZOOM_RANGE[0], ZOOM_RANGE[1]))
 
     img = image[:, :, 0]
     fill = _median(img)
@@ -235,9 +237,8 @@ class TrainConfig:
     # single-core machines this is tuned for; larger ones train slower here
     batch_size: int = 8
     learning_rate: float = 0.001
-    dropout_rate: float = 0.5
     seed: int = 0
-    augment: AugmentConfig | None = field(default_factory=AugmentConfig)
+    augment: bool = True
 
 
 @dataclass
@@ -313,16 +314,11 @@ def fit(
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
             xb = train_images[batch]
-            if config.augment is not None:
-                xb = np.stack([augment(img, config.augment, rng) for img in xb])
+            if config.augment:
+                xb = np.stack([augment(img, rng) for img in xb])
             yb = eye[train_labels[batch]]
             probs, _, cache = pm.forward_batch(
-                model,
-                xb,
-                mode="train",
-                rng=rng,
-                dropout_rate=config.dropout_rate,
-                want_cache=True,
+                model, xb, mode="train", rng=rng, want_cache=True
             )
             loss, d_probs = bce_loss_batch(probs, yb)
             grads = pm.backward_batch(model, cache, d_probs)

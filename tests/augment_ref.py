@@ -1,8 +1,9 @@
 """Reference augmentation: the plain form of parasnet.training.augment.
 
 It shifts with a slice copy of its own, resamples with 2-d fancy
-indexing and fills with np.median; only AugmentConfig comes from the
-package, so a fault in the package's shift cannot show on both sides.
+indexing and fills with np.median; only the ranges (MAX_SHIFT and the
+rest, read at each call) come from the package, so a fault in the
+package's shift cannot show on both sides.
 The package's augment computes the same pixels with less work and is
 tested against this for bit equality, dtype included.
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from parasnet.training import AugmentConfig
+from parasnet import training as tr
 
 
 def shift(img: np.ndarray, dy: int, dx: int, fill: float) -> np.ndarray:
@@ -40,20 +41,20 @@ def resample_nn(img: np.ndarray, src_y: np.ndarray, src_x: np.ndarray, fill: flo
     return out
 
 
-def augment(image: np.ndarray, cfg: AugmentConfig, rng: np.random.Generator) -> np.ndarray:
+def augment(image: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Random shift, flips, rotation, zoom, in that order, drawn in the
     same order as parasnet.training.augment."""
     if image.ndim != 3 or image.shape[2] != 1:
         raise ValueError(f"expected (h, w, 1) image, got {image.shape}")
     h, w = image.shape[:2]
-    max_dy = int(round(h * cfg.max_shift))
-    max_dx = int(round(w * cfg.max_shift))
+    max_dy = int(round(h * tr.MAX_SHIFT))
+    max_dx = int(round(w * tr.MAX_SHIFT))
     dy = int(rng.integers(-max_dy, max_dy + 1))
     dx = int(rng.integers(-max_dx, max_dx + 1))
-    flip_lr = rng.random() < cfg.flip_prob
-    flip_ud = rng.random() < cfg.flip_prob
-    angle = float(rng.uniform(-cfg.max_rotate_deg, cfg.max_rotate_deg))
-    zoom = float(rng.uniform(cfg.zoom_range[0], cfg.zoom_range[1]))
+    flip_lr = rng.random() < tr.FLIP_PROB
+    flip_ud = rng.random() < tr.FLIP_PROB
+    angle = float(rng.uniform(-tr.MAX_ROTATE_DEG, tr.MAX_ROTATE_DEG))
+    zoom = float(rng.uniform(tr.ZOOM_RANGE[0], tr.ZOOM_RANGE[1]))
 
     img = image[:, :, 0]
     fill = float(np.median(img))

@@ -2,8 +2,8 @@
 
 Each axis pass pads with np.pad and adds one weighted shifted copy of
 the image per tap; the pyramid stacks separately blurred levels. Only
-the kernel, contrast_stretch and the scale-space constants come from
-the package. The package's banded-GEMM blur sums the same products in
+the kernel, contrast_stretch, the scale-space constants and the octave
+cap come from the package. The package's banded-GEMM blur sums the same products in
 another order, so it is tested against this to a relative tolerance,
 and its keypoints for equality.
 """
@@ -42,14 +42,14 @@ def preprocess(image: np.ndarray) -> np.ndarray:
     return filters.contrast_stretch(gaussian_blur(image, 1.0))
 
 
-def build_pyramid(image: np.ndarray, cfg: sift.SiftConfig) -> list[np.ndarray]:
+def build_pyramid(image: np.ndarray) -> list[np.ndarray]:
     n_levels = sift.SCALES_PER_OCTAVE + 3
     step = 2.0 ** (1.0 / sift.SCALES_PER_OCTAVE)
     sigmas = [sift.SIGMA0 * step**s for s in range(n_levels)]
     first_blur = np.sqrt(max(sift.SIGMA0**2 - sift.ASSUMED_BLUR**2, 0.01))
     current = gaussian_blur(image, first_blur)
     octaves = []
-    while min(current.shape) >= sift.MIN_OCTAVE_SIDE and len(octaves) < cfg.max_octaves:
+    while min(current.shape) >= sift.MIN_OCTAVE_SIDE and len(octaves) < sift.MAX_OCTAVES:
         levels = [current]
         for s in range(1, n_levels):
             diff = np.sqrt(sigmas[s] ** 2 - sigmas[s - 1] ** 2)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from parasnet.baseline import sift
-from parasnet.baseline.sift import DESCRIPTOR_SIZE, Keypoint, SiftConfig
+from parasnet.baseline.sift import DESCRIPTOR_SIZE, Keypoint
 
 _SPATIAL_BINS = 4
 _ANGLE_BINS = 8
@@ -80,18 +80,15 @@ def descriptor(mag, ang, y, x, sigma_rel, orientation) -> np.ndarray:
     return desc / norm if norm > 1e-12 else desc
 
 
-def detect_and_describe(
-    image: np.ndarray, cfg: SiftConfig | None = None
-) -> tuple[list[Keypoint], np.ndarray]:
-    cfg = cfg or SiftConfig()
-    octaves = sift.build_pyramid(image, cfg)
+def detect_and_describe(image: np.ndarray) -> tuple[list[Keypoint], np.ndarray]:
+    octaves = sift.build_pyramid(image)
 
     candidates = []
     for oct_idx, levels in enumerate(octaves):
-        for lev, y, x, value in sift._find_extrema(sift.dog_stack(levels), cfg):
+        for lev, y, x, value in sift._find_extrema(sift.dog_stack(levels)):
             candidates.append((oct_idx, lev, y, x, value))
     candidates.sort(key=lambda c: -abs(c[4]))
-    candidates = candidates[: cfg.max_keypoints]
+    candidates = candidates[: sift.MAX_KEYPOINTS]
 
     grads: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
     keypoints = []

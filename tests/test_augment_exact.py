@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -75,10 +76,11 @@ def test_augment_matches_reference_bit_for_bit(data):
     zoom = data.draw(st.one_of(st.just(1.0), st.floats(0.5, 2.0)))
     dy = data.draw(st.integers(-h, h))
     dx = data.draw(st.integers(-w, w))
-    cfg = tr.AugmentConfig(max_shift=0.5, flip_prob=flip_prob)
-
-    got = tr.augment(image, cfg, Scripted(dy, dx, flips, angle, zoom))
-    want = augment_ref.augment(image, cfg, Scripted(dy, dx, flips, angle, zoom))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(tr, "MAX_SHIFT", 0.5)
+        m.setattr(tr, "FLIP_PROB", flip_prob)
+        got = tr.augment(image, Scripted(dy, dx, flips, angle, zoom))
+        want = augment_ref.augment(image, Scripted(dy, dx, flips, angle, zoom))
     assert got.dtype == want.dtype == image.dtype
     assert got.shape == want.shape == image.shape
     assert got.tobytes() == want.tobytes()
@@ -91,10 +93,13 @@ def test_augment_matches_reference_bit_for_bit(data):
        dtype=st.sampled_from([np.float32, np.float64]))
 def test_seeded_augment_matches_reference_and_draws_alike(seed, flip_prob, rotate, zoom, dtype):
     image = np.random.default_rng(seed).random((37, 50, 1)).astype(dtype)
-    cfg = tr.AugmentConfig(flip_prob=flip_prob, max_rotate_deg=rotate, zoom_range=zoom)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = tr.augment(image, cfg, rng)
-    want = augment_ref.augment(image, cfg, ref_rng)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(tr, "FLIP_PROB", flip_prob)
+        m.setattr(tr, "MAX_ROTATE_DEG", rotate)
+        m.setattr(tr, "ZOOM_RANGE", zoom)
+        got = tr.augment(image, rng)
+        want = augment_ref.augment(image, ref_rng)
     assert got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
     # both consumed the same draws
@@ -104,11 +109,10 @@ def test_seeded_augment_matches_reference_and_draws_alike(seed, flip_prob, rotat
 def test_full_size_images_match_reference():
     # large enough that the median comes from the bracket, not np.median
     rng = np.random.default_rng(3)
-    cfg = tr.AugmentConfig()
     for seed in range(12):
         image = rng.random((244, 324, 1), dtype=np.float32)
-        got = tr.augment(image, cfg, np.random.default_rng(seed))
-        want = augment_ref.augment(image, cfg, np.random.default_rng(seed))
+        got = tr.augment(image, np.random.default_rng(seed))
+        want = augment_ref.augment(image, np.random.default_rng(seed))
         assert got.tobytes() == want.tobytes()
 
 

@@ -1,5 +1,7 @@
 """SVM, calibration, fallback, and model file handling for the baseline."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -193,27 +195,27 @@ class TestModelFile:
     def test_bad_magic_is_rejected(self, tmp_path):
         path = str(tmp_path / "model.pbas")
         save_baseline(toy_model(), path)
-        blob = bytearray(open(path, "rb").read())
+        blob = bytearray(Path(path).read_bytes())
         blob[:4] = b"XXXX"
-        open(path, "wb").write(bytes(blob))
+        Path(path).write_bytes(bytes(blob))
         with pytest.raises(BaselineMagicError, match="bad magic"):
             load_baseline(path)
 
     def test_future_version_is_rejected(self, tmp_path):
         path = str(tmp_path / "model.pbas")
         save_baseline(toy_model(), path)
-        blob = bytearray(open(path, "rb").read())
+        blob = bytearray(Path(path).read_bytes())
         blob[4] = 99
-        open(path, "wb").write(bytes(blob))
+        Path(path).write_bytes(bytes(blob))
         with pytest.raises(BaselineVersionError, match="version 99"):
             load_baseline(path)
 
     def test_truncation_names_the_missing_piece(self, tmp_path):
         path = str(tmp_path / "model.pbas")
         save_baseline(toy_model(k=5), path)
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         for cut, expect in [(2, "magic"), (8, "header"), (len(blob) // 2, None), (len(blob) - 1, None)]:
-            open(path, "wb").write(blob[:cut])
+            Path(path).write_bytes(blob[:cut])
             with pytest.raises(BaselineTruncatedError, match="bytes missing") as err:
                 load_baseline(path)
             if expect is not None:
@@ -232,9 +234,9 @@ class TestModelFile:
 
         path = str(tmp_path / "model.pbas")
         save_baseline(toy_model(), path)  # empty metadata: the file ends in its length
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         assert blob[-4:] == struct.pack("<I", 0)
-        open(path, "wb").write(blob[:-4] + struct.pack("<I", 2) + b"\xff\xfe")
+        Path(path).write_bytes(blob[:-4] + struct.pack("<I", 2) + b"\xff\xfe")
         with pytest.raises(BaselineFileError, match="not UTF-8"):
             load_baseline(path)
 
@@ -246,14 +248,14 @@ class TestModelFile:
         path = str(tmp_path / "model.pbas")
         model = toy_model()
         save_baseline(model, path)
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         layout = classify._model_arrays(model.vocab_size)
         names = [name for name, _ in layout]
         sizes = [int(np.prod(shape)) for _, shape in layout]
         for value in (np.nan, np.inf, -np.inf):
             for name in ("vocabulary", "nb_log_priors"):
                 offset = 12 + 8 * sum(sizes[: names.index(name)])
-                open(path, "wb").write(
+                Path(path).write_bytes(
                     blob[:offset] + struct.pack("<d", value) + blob[offset + 8:]
                 )
                 with pytest.raises(BaselineFileError, match=f"{name} holds non-finite"):

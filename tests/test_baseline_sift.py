@@ -91,7 +91,7 @@ class TestFilters:
         sigmas = [sift.SIGMA0 * step**s for s in range(sift.SCALES_PER_OCTAVE + 3)]
         diffs = [np.sqrt(b**2 - a**2) for a, b in zip(sigmas, sigmas[1:])]
         current = filters.gaussian_blur(img, np.sqrt(sift.SIGMA0**2 - sift.ASSUMED_BLUR**2))
-        octaves = sift.build_pyramid(img, sift.SiftConfig())
+        octaves = sift.build_pyramid(img)
         assert len(octaves) == 2
         for octave in octaves:
             levels = [current]
@@ -157,39 +157,40 @@ class TestDetector:
         mags = [abs(k.response) for k in kps]
         assert mags == sorted(mags, reverse=True)
 
-    def test_higher_contrast_threshold_finds_fewer_keypoints(self):
+    def test_higher_contrast_threshold_finds_fewer_keypoints(self, monkeypatch):
         rng = np.random.default_rng(4)
         img = rng.random((72, 72))
-        loose = sift.SiftConfig(contrast_thresh=0.01)
-        tight = sift.SiftConfig(contrast_thresh=0.06)
-        n_loose = len(sift.detect_and_describe(img, loose)[0])
-        n_tight = len(sift.detect_and_describe(img, tight)[0])
+        counts = []
+        for thresh in (0.01, 0.06):
+            monkeypatch.setattr(sift, "CONTRAST_THRESH", thresh)
+            counts.append(len(sift.detect_and_describe(img)[0]))
+        n_loose, n_tight = counts
         assert n_tight <= n_loose
 
-    def test_max_keypoints_caps_the_output(self):
+    def test_max_keypoints_caps_the_output(self, monkeypatch):
         rng = np.random.default_rng(5)
         img = rng.random((100, 100))
-        capped = sift.SiftConfig(max_keypoints=5)
-        kps, desc = sift.detect_and_describe(img, capped)
+        monkeypatch.setattr(sift, "MAX_KEYPOINTS", 5)
+        kps, desc = sift.detect_and_describe(img)
         assert len(kps) <= 5
         assert desc.shape[0] == len(kps)
 
-    def test_pyramid_respects_octave_cap(self):
+    def test_pyramid_respects_octave_cap(self, monkeypatch):
         img = np.random.default_rng(6).random((256, 256))
-        cfg = sift.SiftConfig(max_octaves=2)
-        octs = sift.build_pyramid(img, cfg)
+        monkeypatch.setattr(sift, "MAX_OCTAVES", 2)
+        octs = sift.build_pyramid(img)
         assert len(octs) == 2
 
     def test_pyramid_halves_resolution_per_octave(self):
         img = np.random.default_rng(7).random((64, 96))
-        octs = sift.build_pyramid(img, sift.SiftConfig())
+        octs = sift.build_pyramid(img)
         assert octs[0].shape[1:] == (64, 96)
         assert octs[1].shape[1:] == (32, 48)
         assert all(o.shape[0] == 6 for o in octs)
 
     def test_rejects_non_2d_input(self):
         with pytest.raises(ValueError, match="2-d"):
-            sift.build_pyramid(np.zeros((8, 8, 1)), sift.SiftConfig())
+            sift.build_pyramid(np.zeros((8, 8, 1)))
 
     def test_rejects_tiny_images(self):
         with pytest.raises(ValueError, match="too small"):
@@ -255,17 +256,17 @@ class TestDescriptor:
         assert np.median(sims) > 0.7
 
 
-def dense_find_extrema(dog, cfg):
+def dense_find_extrema(dog):
     """Reference extremum finder: every pixel against a (26, h, w) neighbour stack.
 
     The contrast test is applied to the whole level only after the
     neighbour comparison; the shipped finder compares only the pixels
-    that pass it.
+    that pass it. Both read the package's thresholds when called.
     """
     out = []
     n_levels = dog.shape[0]
-    threshold = cfg.contrast_thresh
-    edge_limit = (cfg.edge_ratio + 1.0) ** 2 / cfg.edge_ratio
+    threshold = sift.CONTRAST_THRESH
+    edge_limit = (sift.EDGE_RATIO + 1.0) ** 2 / sift.EDGE_RATIO
     for lev in range(1, n_levels - 1):
         center = dog[lev, 1:-1, 1:-1]
         neighbours = []
@@ -305,9 +306,9 @@ def dense_find_extrema(dog, cfg):
     return out
 
 
-def assert_same_extrema(dog, cfg):
-    got = sift._find_extrema(dog, cfg)
-    want = dense_find_extrema(dog, cfg)
+def assert_same_extrema(dog):
+    got = sift._find_extrema(dog)
+    want = dense_find_extrema(dog)
     # repr keeps NaN == NaN and the sign of zero
     assert repr(got) == repr(want)
     return len(got)
@@ -315,27 +316,25 @@ def assert_same_extrema(dog, cfg):
 
 class TestExtremaMatchDenseReference:
     def test_dog_stacks_of_synthetic_images(self):
-        cfg = sift.SiftConfig()
         found = 0
         for label in (0, 1, 2):
             for index in range(2):
                 img = synth.gen_sample(label, index, synth.GenConfig(), 5, "test")
-                for octave in sift.build_pyramid(filters.preprocess(img), cfg):
-                    found += assert_same_extrema(sift.dog_stack(octave), cfg)
+                for octave in sift.build_pyramid(filters.preprocess(img)):
+                    found += assert_same_extrema(sift.dog_stack(octave))
         assert found > 0
 
     def test_keypoints_of_synthetic_images_match_the_tap_loop_pipeline(self, monkeypatch):
         # the blocked blur sums in another order; on these images no
         # keypoint moves, appears or disappears
-        cfg = sift.SiftConfig()
         found = 0
         for label in (0, 1, 2):
             for index in range(2):
                 img = synth.gen_sample(label, index, synth.GenConfig(), 5, "test")
-                got, got_desc = sift.detect_and_describe(filters.preprocess(img), cfg)
+                got, got_desc = sift.detect_and_describe(filters.preprocess(img))
                 with monkeypatch.context() as m:
                     m.setattr(sift, "build_pyramid", blur_ref.build_pyramid)
-                    want, want_desc = sift.detect_and_describe(blur_ref.preprocess(img), cfg)
+                    want, want_desc = sift.detect_and_describe(blur_ref.preprocess(img))
                 assert [(k.octave, k.level, k.y, k.x, k.orientation) for k in got] == [
                     (k.octave, k.level, k.y, k.x, k.orientation) for k in want
                 ]
@@ -343,20 +342,21 @@ class TestExtremaMatchDenseReference:
                 found += len(got)
         assert found > 0
 
-    def test_integer_stacks_with_ties_and_plateaus(self):
+    def test_integer_stacks_with_ties_and_plateaus(self, monkeypatch):
         rng = np.random.default_rng(12)
         found = 0
+        # a ratio this large turns the edge test off
+        monkeypatch.setattr(sift, "EDGE_RATIO", 1e9)
         for thresh in (0.0, 1.0, 2.0):
-            cfg = sift.SiftConfig(contrast_thresh=thresh, edge_ratio=1e9)
+            monkeypatch.setattr(sift, "CONTRAST_THRESH", thresh)
             for shape in [(5, 24, 31), (3, 3, 3), (4, 7, 5), (6, 17, 9)]:
                 for span in (1, 3):
                     dog = rng.integers(-span, span + 1, size=shape).astype(np.float64)
-                    found += assert_same_extrema(dog, cfg)
+                    found += assert_same_extrema(dog)
         assert found > 0
 
-    def test_values_exactly_at_the_contrast_threshold(self):
-        cfg = sift.SiftConfig()
-        t = cfg.contrast_thresh
+    def test_values_exactly_at_the_contrast_threshold(self, monkeypatch):
+        t = sift.CONTRAST_THRESH
         levels = np.array([-2 * t, -t, -t / 2, 0.0, t / 2, t, 2 * t])
         rng = np.random.default_rng(13)
         found = 0
@@ -367,33 +367,35 @@ class TestExtremaMatchDenseReference:
             dog[2, 6, 6] = t
             dog[1:4, 12:15, 12:15] = 0.0
             dog[2, 13, 13] = -t
-            found += assert_same_extrema(dog, sift.SiftConfig(edge_ratio=1e9))
-            found += assert_same_extrema(dog, cfg)
+            with monkeypatch.context() as m:
+                m.setattr(sift, "EDGE_RATIO", 1e9)
+                found += assert_same_extrema(dog)
+            found += assert_same_extrema(dog)
         assert found > 0
 
-    def test_stacks_containing_nan(self):
-        cfg = sift.SiftConfig(contrast_thresh=0.5)
+    def test_stacks_containing_nan(self, monkeypatch):
+        monkeypatch.setattr(sift, "CONTRAST_THRESH", 0.5)
         rng = np.random.default_rng(14)
         found = 0
         for share in (0.01, 0.1, 0.5):
             dog = rng.normal(size=(5, 30, 26))
             dog[rng.random(dog.shape) < share] = np.nan
-            found += assert_same_extrema(dog, cfg)
+            found += assert_same_extrema(dog)
         # a NaN centre or a NaN neighbour removes an otherwise clear peak
         dog = np.zeros((3, 9, 9))
         dog[1, 4, 4] = 1.0
-        assert assert_same_extrema(dog, cfg) == 1
+        assert assert_same_extrema(dog) == 1
         dog[0, 3, 5] = np.nan
-        assert assert_same_extrema(dog, cfg) == 0
+        assert assert_same_extrema(dog) == 0
         dog[0, 3, 5] = 0.0
         dog[1, 4, 4] = np.nan
-        assert assert_same_extrema(dog, cfg) == 0
+        assert assert_same_extrema(dog) == 0
         assert found > 0
 
 
-def assert_same_description(img, cfg=None):
-    got, got_desc = sift.detect_and_describe(img, cfg)
-    want, want_desc = sift_ref.detect_and_describe(img, cfg)
+def assert_same_description(img):
+    got, got_desc = sift.detect_and_describe(img)
+    want, want_desc = sift_ref.detect_and_describe(img)
     # repr compares every field's exact float, and the field types
     assert repr(got) == repr(want)
     assert got_desc.dtype == want_desc.dtype and got_desc.shape == want_desc.shape
@@ -411,24 +413,21 @@ def window_crosses_the_border(kp, shape):
 
 class TestDescriptionMatchesPerKeypointReference:
     def test_synthetic_images(self):
-        cfg = sift.SiftConfig()
         found = 0
         for label in (0, 1, 2):
             for index in range(2):
                 img = synth.gen_sample(label, index, synth.GenConfig(), 5, "test")
-                found += len(assert_same_description(filters.preprocess(img), cfg))
+                found += len(assert_same_description(filters.preprocess(img)))
         assert found > 0
 
     @pytest.mark.parametrize(
-        "cfg",
-        [
-            sift.SiftConfig(),
-            sift.SiftConfig(max_keypoints=5),
-            sift.SiftConfig(contrast_thresh=0.0),
-        ],
+        "constants",
+        [{}, {"MAX_KEYPOINTS": 5}, {"CONTRAST_THRESH": 0.0}],
         ids=["default", "max-keypoints-5", "no-contrast-test"],
     )
-    def test_small_random_images_with_windows_across_the_border(self, cfg):
+    def test_small_random_images_with_windows_across_the_border(self, monkeypatch, constants):
+        for name, value in constants.items():
+            monkeypatch.setattr(sift, name, value)
         rng = np.random.default_rng(18)
         found = crossing = 0
         for _ in range(12):
@@ -439,7 +438,7 @@ class TestDescriptionMatchesPerKeypointReference:
                     h, w, float(rng.uniform(0, h)), float(rng.uniform(0, w)),
                     float(rng.uniform(1.5, 5.0)), float(rng.uniform(-1.0, 1.0)),
                 )
-            kps = assert_same_description(img, cfg)
+            kps = assert_same_description(img)
             found += len(kps)
             crossing += sum(window_crosses_the_border(k, img.shape) for k in kps)
         assert crossing > 0 and found > crossing

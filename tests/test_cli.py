@@ -2,7 +2,10 @@
 
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,7 +111,7 @@ class TestTrain:
                 "--seed", "3", "--ckpt", ckpt, "--history", history,
             ])
             assert code == 0
-            outputs.append((open(ckpt, "rb").read(), open(history, "rb").read()))
+            outputs.append((Path(ckpt).read_bytes(), Path(history).read_bytes()))
         assert outputs[0] == outputs[1]
 
     def test_non_default_input_size_fails_before_training(self, tmp_path, capsys):
@@ -191,7 +194,7 @@ class TestEval:
         assert code == 1
         assert missing in capsys.readouterr().err
 
-    def test_embed_writes_one_row_per_image(self, dataset, ckpt, tmp_path):
+    def test_embed_writes_one_row_per_image(self, dataset, ckpt, tmp_path, capsys):
         out = str(tmp_path / "e.csv")
         code = cli.main([
             "embed", "--ckpt", ckpt, "--data", dataset, "--out", out,
@@ -202,6 +205,25 @@ class TestEval:
             lines = fh.read().splitlines()
         assert lines[0] == "x,y,label"
         assert len(lines) == 1 + 6
+        assert re.search(r"^embedded 6 images, silhouette -?[\d.]+$",
+                         capsys.readouterr().out, re.M)
+
+    def test_embed_of_a_one_class_split_skips_the_silhouette(self, ckpt, tmp_path, capsys):
+        root = str(tmp_path / "one")
+        images = np.random.default_rng(0).random((7, 244, 324, 1)).astype(np.float32)
+        pgmio.write_dataset(os.path.join(root, "test"), images, np.zeros(7, np.int64), 0)
+        out = tmp_path / "e.csv"
+        code = cli.main([
+            "embed", "--ckpt", ckpt, "--data", root, "--out", str(out),
+            "--perplexity", "2", "--iters", "40",
+        ])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        assert "embedded 7 images" in captured.out.splitlines()
+        assert "silhouette" not in captured.out
+        lines = out.read_text().splitlines()
+        assert lines[0] == "x,y,label"
+        assert [line.rsplit(",", 1)[1] for line in lines[1:]] == ["0"] * 7
 
     @pytest.mark.parametrize("perplexity", ["nan", "inf"])
     def test_embed_rejects_a_non_finite_perplexity(
@@ -388,9 +410,70 @@ class TestUsageErrors:
             cli.main(["gen", "--threads", "0"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--seed", "-1"],
+            ["train", "--data", "{data}", "--epochs", "1", "--seed", "-1"],
+            ["sweep", "--data", "{data}", "--epochs", "1", "--seed", "-1"],
+            ["sweep", "--data", "{data}", "--epochs", "1", "--init-seed", "-1"],
+            ["embed", "--ckpt", "{ckpt}", "--data", "{data}", "--seed", "-1"],
+            ["baseline-train", "--data", "{data}", "--seed", "-1"],
+        ],
+        ids=["gen", "train", "sweep", "sweep-init-seed", "embed", "baseline-train"],
+    )
+    def test_a_negative_seed_is_a_usage_error_before_anything_is_written(
+        self, dataset, ckpt, tmp_path, monkeypatch, capsys, argv
+    ):
+        # every default output path then lies under tmp_path
+        monkeypatch.setenv("PARASNET_OUTDIR", str(tmp_path))
+        monkeypatch.chdir(tmp_path)
+        argv = [arg.format(data=dataset, ckpt=ckpt) for arg in argv]
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
+        option = argv[-2]
+        assert f"argument {option}: expected a non-negative integer, got -1" in (
+            capsys.readouterr().err
+        )
+        assert os.listdir(tmp_path) == []
+
     def test_threads_one_is_accepted(self, tmp_path):
         code = cli.main([
             "gen", "--out", str(tmp_path / "d"), "--threads", "1",
             "--train", "1", "--test", "1",
         ])
         assert code == 0
+
+
+class TestParser:
+    def test_gap_default_is_the_classifier_constant(self):
+        args = cli.build_parser().parse_args(["baseline-train", "--data", "d"])
+        assert args.gap == classify.GAP_THRESHOLD
+
+    def test_parsing_any_subcommand_imports_no_numpy(self):
+        # --threads caps BLAS through environment variables, which only
+        # work when numpy is first imported after parsing
+        script = """
+import sys
+from parasnet import cli
+
+parser = cli.build_parser()
+for argv in (
+    ["gen"],
+    ["train", "--data", "d"],
+    ["eval", "--ckpt", "m.pnet", "--data", "d"],
+    ["sweep", "--data", "d", "--filters", "2,4"],
+    ["embed", "--ckpt", "m.pnet", "--data", "d"],
+    ["baseline-train", "--data", "d", "--gap", "0.3"],
+    ["baseline-eval", "--model", "b.pbas", "--data", "d"],
+    ["bench", "--ckpt", "m.pnet", "--data", "d", "--threads", "1"],
+):
+    parser.parse_args(argv)
+assert "numpy" not in sys.modules, sorted(m for m in sys.modules if "numpy" in m)
+"""
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))},
+        )
+        assert result.returncode == 0, result.stderr

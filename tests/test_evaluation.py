@@ -123,7 +123,7 @@ class TestSweep:
         rng = np.random.default_rng(20)
         images = rng.random((12, 94, 94, 1), dtype=np.float32)
         labels = np.array([0, 1] * 6)
-        config = tr.TrainConfig(epochs=2, batch_size=4, seed=0, augment=None)
+        config = tr.TrainConfig(epochs=2, batch_size=4, seed=0, augment=False)
         result = ev.filter_sweep(
             [1, 2], images, labels, images, labels, config, init_seed=5
         )

@@ -3,6 +3,7 @@
 import struct
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -349,7 +350,7 @@ class TestCheckpoint:
         p2 = str(tmp_path / "b.pnet")
         pm.save_checkpoint(m, p1)
         pm.save_checkpoint(pm.load_checkpoint(p1), p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.pnet"
@@ -361,9 +362,9 @@ class TestCheckpoint:
         m = pm.build_model(1, seed=0)
         path = str(tmp_path / "v9.pnet")
         pm.save_checkpoint(m, path)
-        blob = bytearray(open(path, "rb").read())
+        blob = bytearray(Path(path).read_bytes())
         blob[4] = 9
-        open(path, "wb").write(bytes(blob))
+        Path(path).write_bytes(bytes(blob))
         with pytest.raises(pm.CheckpointVersionError, match="version 9"):
             pm.load_checkpoint(str(path))
 
@@ -371,9 +372,9 @@ class TestCheckpoint:
         m = pm.build_model(2, seed=0)
         path = str(tmp_path / "cut.pnet")
         pm.save_checkpoint(m, path)
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         for cut in (2, 6, 40, len(blob) - 3):
-            open(path, "wb").write(blob[:cut])
+            Path(path).write_bytes(blob[:cut])
             with pytest.raises(pm.CheckpointTruncatedError, match=r"\d+ bytes missing"):
                 pm.load_checkpoint(path)
 
@@ -401,8 +402,8 @@ class TestCheckpoint:
         path = str(tmp_path / "meta.pnet")
         pm.save_checkpoint(m, path)
         # the file ends with the u32 length and the 6 bytes of "seed=0"
-        body = open(path, "rb").read()[:-10]
-        open(path, "wb").write(body + struct.pack("<I", len(meta)) + meta)
+        body = Path(path).read_bytes()[:-10]
+        Path(path).write_bytes(body + struct.pack("<I", len(meta)) + meta)
         with pytest.raises(pm.CheckpointError, match=message):
             pm.load_checkpoint(path)
 
@@ -412,12 +413,12 @@ class TestCheckpoint:
         path = str(tmp_path / "nan.pnet")
         m = pm.build_model(1, seed=0)
         pm.save_checkpoint(m, path)
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         sizes = [p.size for p in pm.parameters(m)]
         for value in (np.nan, np.inf, -np.inf):
             for index in (0, 13):
                 offset = 12 + 4 * sum(sizes[:index])
-                open(path, "wb").write(
+                Path(path).write_bytes(
                     blob[:offset] + struct.pack("<f", value) + blob[offset + 4:]
                 )
                 with pytest.raises(pm.CheckpointError, match=f"tensor {index} holds non-finite"):

@@ -3,6 +3,7 @@
 import json
 import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ class TestWriteRead:
     def test_header_layout(self, tmp_path):
         path = str(tmp_path / "h.pgm")
         pgmio.write_pgm(path, np.zeros((244, 324), dtype=np.float32))
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         assert blob.startswith(b"P5\n324 244\n255\n")
         assert len(blob) == len(b"P5\n324 244\n255\n") + 244 * 324
 

@@ -19,17 +19,20 @@ class TestAdam:
             assert abs(abs(p[0][0]) - 0.01) < 1e-6
             assert np.sign(p[0][0]) == -np.sign(g)
 
-    def test_matches_reference_formulas_over_several_steps(self):
+    def test_matches_reference_formulas_over_several_steps(self, monkeypatch):
         rng = np.random.default_rng(0)
         p = [rng.standard_normal(4), rng.standard_normal((2, 3))]
         ref = [q.copy() for q in p]
         state = tr.AdamState.for_params(p)
         lr, b1, b2, eps = 0.05, 0.8, 0.95, 1e-8
+        monkeypatch.setattr(tr, "ADAM_BETA1", b1)
+        monkeypatch.setattr(tr, "ADAM_BETA2", b2)
+        monkeypatch.setattr(tr, "ADAM_EPSILON", eps)
         m = [np.zeros_like(q) for q in ref]
         v = [np.zeros_like(q) for q in ref]
         for t in range(1, 6):
             grads = [rng.standard_normal(q.shape) for q in p]
-            tr.adam_step(p, grads, state, lr=lr, beta1=b1, beta2=b2, epsilon=eps)
+            tr.adam_step(p, grads, state, lr=lr)
             for i, g in enumerate(grads):
                 m[i] = b1 * m[i] + (1 - b1) * g
                 v[i] = b2 * v[i] + (1 - b2) * g * g
@@ -118,58 +121,57 @@ class TestBceLoss:
             tr.bce_loss_batch(np.zeros((1, 3)), np.zeros((1, 4)))
 
 
-def _zero_cfg():
-    return tr.AugmentConfig(
-        max_shift=0.0, flip_prob=0.0, max_rotate_deg=0.0, zoom_range=(1.0, 1.0)
-    )
+def _zero_ranges(monkeypatch, flip_prob=0.0):
+    """Set augment's ranges to no shift, rotation or zoom."""
+    monkeypatch.setattr(tr, "MAX_SHIFT", 0.0)
+    monkeypatch.setattr(tr, "FLIP_PROB", flip_prob)
+    monkeypatch.setattr(tr, "MAX_ROTATE_DEG", 0.0)
+    monkeypatch.setattr(tr, "ZOOM_RANGE", (1.0, 1.0))
 
 
 class TestAugment:
-    def test_identity_config_returns_image_unchanged(self):
+    def test_identity_config_returns_image_unchanged(self, monkeypatch):
+        _zero_ranges(monkeypatch)
         rng = np.random.default_rng(0)
         image = rng.random((30, 40, 1), dtype=np.float32)
-        out = tr.augment(image, _zero_cfg(), np.random.default_rng(1))
+        out = tr.augment(image, np.random.default_rng(1))
         np.testing.assert_array_equal(out, image)
 
-    def test_certain_flips_applied_twice_restore_image(self):
-        cfg = tr.AugmentConfig(
-            max_shift=0.0, flip_prob=1.0, max_rotate_deg=0.0, zoom_range=(1.0, 1.0)
-        )
+    def test_certain_flips_applied_twice_restore_image(self, monkeypatch):
+        _zero_ranges(monkeypatch, flip_prob=1.0)
         rng = np.random.default_rng(0)
         image = rng.random((20, 24, 1), dtype=np.float32)
-        once = tr.augment(image, cfg, np.random.default_rng(2))
-        twice = tr.augment(once, cfg, np.random.default_rng(3))
+        once = tr.augment(image, np.random.default_rng(2))
+        twice = tr.augment(once, np.random.default_rng(3))
         np.testing.assert_array_equal(twice, image)
 
     def test_same_seed_same_output(self):
         rng = np.random.default_rng(5)
         image = rng.random((50, 60, 1), dtype=np.float32)
-        cfg = tr.AugmentConfig()
-        a = tr.augment(image, cfg, np.random.default_rng(9))
-        b = tr.augment(image, cfg, np.random.default_rng(9))
+        a = tr.augment(image, np.random.default_rng(9))
+        b = tr.augment(image, np.random.default_rng(9))
         np.testing.assert_array_equal(a, b)
-        c = tr.augment(image, cfg, np.random.default_rng(10))
+        c = tr.augment(image, np.random.default_rng(10))
         assert not np.array_equal(a, c)
 
     def test_output_values_come_from_input_or_median(self):
         # nearest-neighbour resampling never invents new intensities
         rng = np.random.default_rng(6)
         image = rng.random((40, 40, 1), dtype=np.float32)
-        cfg = tr.AugmentConfig()
-        out = tr.augment(image, cfg, np.random.default_rng(11))
+        out = tr.augment(image, np.random.default_rng(11))
         allowed = set(image.ravel().tolist())
         allowed.add(float(np.median(image[:, :, 0])))
         assert set(out.ravel().tolist()) <= allowed
 
     def test_shape_and_dtype_preserved(self):
         image = np.zeros((30, 50, 1), dtype=np.float32)
-        out = tr.augment(image, tr.AugmentConfig(), np.random.default_rng(0))
+        out = tr.augment(image, np.random.default_rng(0))
         assert out.shape == image.shape
         assert out.dtype == image.dtype
 
     def test_rank_two_input_rejected(self):
         with pytest.raises(ValueError, match="expected"):
-            tr.augment(np.zeros((8, 8)), tr.AugmentConfig(), np.random.default_rng(0))
+            tr.augment(np.zeros((8, 8)), np.random.default_rng(0))
 
 
 def _blob_dataset(rng, n_per_class, size=94):
@@ -203,9 +205,8 @@ class TestFit:
             epochs=10,
             batch_size=8,
             seed=1,
-            augment=None,
+            augment=False,
             learning_rate=0.01,
-            dropout_rate=0.0,
         )
         report = tr.fit(model, train_x, train_y, test_x, test_y, config)
         assert len(report.history) == 10
