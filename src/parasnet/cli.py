@@ -28,6 +28,10 @@ import sys
 # bench times each pipeline this many times and reports the median
 BENCH_REPEATS = 3
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# evaluation.MIN_TIMED_ITERS and tsne.MIN_PERPLEXITY, written out so that
+# parsing imports no numpy
+MIN_TIMED_ITERS = 10
+MIN_PERPLEXITY = 2.0
 
 
 def _outdir() -> str:
@@ -44,6 +48,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+    return value
+
+
+def _bench_iters(text: str) -> int:
+    value = int(text)
+    if value < MIN_TIMED_ITERS:
+        raise argparse.ArgumentTypeError(f"expected at least {MIN_TIMED_ITERS}, got {text}")
     return value
 
 
@@ -68,6 +79,15 @@ def _positive_finite(text: str) -> float:
     value = _float(text)
     if not 0.0 < value < float("inf"):
         raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
+    return value
+
+
+def _perplexity(text: str) -> float:
+    value = _float(text)
+    if not MIN_PERPLEXITY <= value < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number of at least {MIN_PERPLEXITY:g}, got {text!r}"
+        )
     return value
 
 
@@ -155,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--split", choices=("train", "test"), default="test")
-    p.add_argument("--perplexity", type=float, default=30.0)
+    p.add_argument("--perplexity", type=_perplexity, default=30.0)
     p.add_argument("--iters", type=_positive_int, default=1000)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=os.path.join(out, "embedding.csv"))
@@ -191,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="optional baseline model to time on the same images")
     p.add_argument("--images", type=_positive_int, default=16,
                    help="distinct images to cycle through")
-    p.add_argument("--iters", type=_positive_int, default=50)
+    p.add_argument("--iters", type=_bench_iters, default=50)
     p.add_argument("--warmup", type=_positive_int, default=3)
     p.add_argument("--out", default=os.path.join(out, "bench.csv"))
     p.set_defaults(func=_cmd_bench)

@@ -16,6 +16,9 @@ from . import CLASS_NAMES, NUM_CLASSES
 from . import model as pm
 from . import training as tr
 
+# the fewest timed calls benchmark accepts
+MIN_TIMED_ITERS = 10
+
 
 @dataclass
 class ConfusionMatrix:
@@ -185,8 +188,8 @@ def benchmark(
     """Time single-image predictions, cycling through the given images."""
     if warmup < 1:
         raise ValueError("need at least one warmup call")
-    if iters < 10:
-        raise ValueError("need at least 10 timed iterations")
+    if iters < MIN_TIMED_ITERS:
+        raise ValueError(f"need at least {MIN_TIMED_ITERS} timed iterations")
     if len(images) == 0:
         raise ValueError("no images to benchmark on")
     for i in range(warmup):

@@ -4,9 +4,9 @@ A dataset directory holds one subdirectory per class, each containing
 zero-padded NNNNN.pgm files, and a manifest.json holding the manifest
 format "version", the image "height" and "width", the "master_seed",
 the per-class "counts", and any extra keys the writer passes, such as
-the "split" that `parasnet gen` records. Files at exactly twice the
-manifest resolution are averaged down 2x2 on read, so full-resolution
-captures and pre-scaled images can be mixed.
+the "split" that `parasnet gen` records. Every image is at the manifest's
+size, so each pixel read is the 8-bit value on disk over 255; a 2x
+capture must be averaged down once, before it is written.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ MANIFEST_VERSION = 1
 MAX_MANIFEST_BYTES = 2**20
 # bounds on what read_pgm accepts: the header must end within the first
 # MAX_HEADER_BYTES bytes, and the image may hold at most MAX_PGM_PIXELS
-# pixels (4096x4096; a 2x capture of the 244x324 frame holds 316,224)
+# pixels (4096x4096, against 79,056 in the 244x324 frame)
 MAX_HEADER_BYTES = 4096
 MAX_PGM_PIXELS = 2**24
 
@@ -78,13 +78,13 @@ def _read_header_token(blob: bytes, pos: int, path: str) -> tuple[bytes, int]:
     return blob[start:pos], pos
 
 
-def read_pgm(path: str, shapes: tuple[tuple[int, int], ...] | None = None) -> np.ndarray:
+def read_pgm(path: str, shape: tuple[int, int] | None = None) -> np.ndarray:
     """Load a binary PGM as float32 in [0, 1]. Only maxval 255 is accepted.
 
     The header must end within the first MAX_HEADER_BYTES bytes, the
     image may hold at most MAX_PGM_PIXELS pixels, and the file must hold
-    exactly the header plus one byte per pixel. If shapes is given, the
-    image's (height, width) must be one of them. The caps, the shape and
+    exactly the header plus one byte per pixel. If shape is given, the
+    image's (height, width) must equal it. The caps, the shape and
     the file size are checked before the pixels are read, so a long,
     sparse, doctored or wrong-sized file is refused without allocating
     what it declares.
@@ -111,9 +111,8 @@ def read_pgm(path: str, shapes: tuple[tuple[int, int], ...] | None = None) -> np
             raise ValueError(f"{path}: maxval {maxval} unsupported, expected 255")
         if w < 1 or h < 1:
             raise ValueError(f"{path}: bad dimensions {w}x{h}")
-        if shapes is not None and (h, w) not in shapes:
-            wanted = " or ".join(f"{sw}x{sh}" for sh, sw in shapes)
-            raise ValueError(f"{path}: got {w}x{h}, expected {wanted}")
+        if shape is not None and (h, w) != shape:
+            raise ValueError(f"{path}: got {w}x{h}, expected {shape[1]}x{shape[0]}")
         if w * h > MAX_PGM_PIXELS:
             raise ValueError(f"{path}: {w}x{h} is over the {MAX_PGM_PIXELS}-pixel limit")
         start = pos + 1  # the single whitespace byte after maxval
@@ -132,16 +131,6 @@ def read_pgm(path: str, shapes: tuple[tuple[int, int], ...] | None = None) -> np
         )
     pixels = np.frombuffer(data, dtype=np.uint8).reshape(h, w)
     return pixels.astype(np.float32) / 255.0
-
-
-def downscale_2x2(image: np.ndarray) -> np.ndarray:
-    """Average non-overlapping 2x2 blocks. Both sides must be even."""
-    if image.ndim != 2:
-        raise ValueError(f"expected a 2-d image, got shape {image.shape}")
-    h, w = image.shape
-    if h % 2 or w % 2:
-        raise ValueError(f"dimensions {h}x{w} are not divisible by 2")
-    return image.reshape(h // 2, 2, w // 2, 2).mean(axis=(1, 3)).astype(image.dtype)
 
 
 def write_dataset(
@@ -253,22 +242,14 @@ def read_manifest(root: str) -> dict:
     return manifest
 
 
-def _read_image(path: str, h: int, w: int) -> np.ndarray:
-    """The (h, w) image in a dataset file, downscaled if it is (2h, 2w)."""
-    img = read_pgm(path, ((h, w), (2 * h, 2 * w)))
-    if img.shape != (h, w):
-        return downscale_2x2(img)
-    return img
-
-
 def read_dataset(root: str) -> tuple[np.ndarray, np.ndarray]:
     """Load every image listed in the manifest, in class then index order.
 
     Returns (images, labels) with images shaped (N, height, width, 1),
-    read into one array allocated up front. Files at twice the manifest
-    resolution are downscaled on the fly. A listed file that is missing
+    read into one array allocated up front. A listed file that is missing
     raises FileNotFoundError; a malformed manifest or image raises
-    ValueError, and a file of another size is refused after its header.
+    ValueError, and a file of any size but the manifest's, twice it
+    included, is refused after its header.
     The manifest comes from outside, so the array is allocated only once
     every listed file exists and the first holds an image of the
     manifest's size.
@@ -289,9 +270,9 @@ def read_dataset(root: str) -> tuple[np.ndarray, np.ndarray]:
             labels.append(label)
     if not paths:
         raise ValueError(f"{root}: manifest lists no images")
-    first = _read_image(paths[0], h, w)
+    first = read_pgm(paths[0], (h, w))
     images = np.empty((len(paths), h, w, 1), first.dtype)
     images[0, :, :, 0] = first
     for i in range(1, len(paths)):
-        images[i, :, :, 0] = _read_image(paths[i], h, w)
+        images[i, :, :, 0] = read_pgm(paths[i], (h, w))
     return images, np.array(labels, dtype=np.int64)

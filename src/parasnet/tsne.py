@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_POINTS = 5000
+MIN_PERPLEXITY = 2.0
 P_FLOOR = 1e-12
 # the bandwidth search stops once the entropy is this close to the target
 ENTROPY_TOL = 1e-4
@@ -68,9 +69,8 @@ def conditional_probs(dists: np.ndarray, perplexity: float) -> np.ndarray:
     cond = np.zeros_like(dists)
     for i in range(n):
         beta, beta_lo, beta_hi = 1.0, 0.0, np.inf
-        row = dists[i].copy()
         for _ in range(BANDWIDTH_STEPS):
-            p = _row_probs(row, beta, i)
+            p = _row_probs(dists[i], beta, i)
             gap = _entropy(p) - target
             if abs(gap) < ENTROPY_TOL:
                 break
@@ -124,7 +124,7 @@ def _validate(features: np.ndarray, config: TsneConfig) -> None:
         )
     if not np.isfinite(config.perplexity):
         raise ValueError(f"perplexity must be finite, got {config.perplexity}")
-    if config.perplexity < 2.0:
+    if config.perplexity < MIN_PERPLEXITY:
         raise ValueError(f"perplexity {config.perplexity} too small")
     if n < 3 * config.perplexity:
         raise ValueError(
@@ -150,9 +150,11 @@ def tsne(features: np.ndarray, config: TsneConfig | None = None) -> np.ndarray:
     update = np.zeros_like(y)
     gains = np.ones_like(y)
 
+    target = p * EARLY_EXAGGERATION
     for it in range(config.iterations):
-        exaggerate = it < EXAGGERATION_ITERS
-        grad = kl_gradient(p * EARLY_EXAGGERATION if exaggerate else p, y)
+        if it == EXAGGERATION_ITERS:
+            target = p
+        grad = kl_gradient(target, y)
         momentum = INITIAL_MOMENTUM if it < MOMENTUM_SWITCH_ITER else FINAL_MOMENTUM
         same_sign = np.sign(grad) == np.sign(update)
         gains = np.where(same_sign, gains * 0.8, gains + 0.2)

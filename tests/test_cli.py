@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from parasnet import cli, evaluation, pgmio, synth
+from parasnet import cli, evaluation, pgmio, synth, tsne
 from parasnet.baseline import classify
 from parasnet.model import load_checkpoint, param_count
 
@@ -226,17 +226,20 @@ class TestEval:
         assert [line.rsplit(",", 1)[1] for line in lines[1:]] == ["0"] * 7
 
     @pytest.mark.parametrize("perplexity", ["nan", "inf"])
-    def test_embed_rejects_a_non_finite_perplexity(
-        self, dataset, ckpt, tmp_path, capsys, perplexity
-    ):
+    def test_embed_rejects_a_non_finite_perplexity(self, tmp_path, capsys, perplexity):
+        # a usage error, raised before the missing checkpoint is opened
         out = tmp_path / "e.csv"
-        code = cli.main([
-            "embed", "--ckpt", ckpt, "--data", dataset, "--out", str(out),
-            "--perplexity", perplexity, "--iters", "5",
-        ])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "perplexity must be finite" in err
+        with pytest.raises(SystemExit) as err:
+            cli.main([
+                "embed", "--ckpt", str(tmp_path / "missing.pnet"),
+                "--data", str(tmp_path), "--out", str(out),
+                "--perplexity", perplexity, "--iters", "5",
+            ])
+        assert err.value.code == 2
+        assert (
+            f"argument --perplexity: expected a finite number of at least 2, "
+            f"got '{perplexity}'"
+        ) in capsys.readouterr().err
         assert not out.exists()
 
     def test_embed_rejects_a_huge_finite_perplexity(self, dataset, ckpt, tmp_path, capsys):
@@ -438,6 +441,21 @@ class TestUsageErrors:
         )
         assert os.listdir(tmp_path) == []
 
+    def test_too_few_bench_iters_is_a_usage_error_before_any_file_is_read(
+        self, tmp_path, capsys
+    ):
+        # the checkpoint and the dataset are missing, so a run that got as
+        # far as reading either would exit 1
+        with pytest.raises(SystemExit) as err:
+            cli.main([
+                "bench", "--ckpt", str(tmp_path / "missing.pnet"),
+                "--data", str(tmp_path / "none"), "--out", str(tmp_path / "b.csv"),
+                "--iters", "5",
+            ])
+        assert err.value.code == 2
+        assert "argument --iters: expected at least 10, got 5" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
     def test_threads_one_is_accepted(self, tmp_path):
         code = cli.main([
             "gen", "--out", str(tmp_path / "d"), "--threads", "1",
@@ -450,6 +468,22 @@ class TestParser:
     def test_gap_default_is_the_classifier_constant(self):
         args = cli.build_parser().parse_args(["baseline-train", "--data", "d"])
         assert args.gap == classify.GAP_THRESHOLD
+
+    def test_perplexity_bound_is_the_tsne_constant(self):
+        parser = cli.build_parser()
+        lowest = tsne.MIN_PERPLEXITY
+        argv = ["embed", "--ckpt", "m.pnet", "--data", "d", "--perplexity"]
+        assert parser.parse_args(argv + [repr(lowest)]).perplexity == lowest
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv + [repr(float(np.nextafter(lowest, 0.0)))])
+
+    def test_bench_iters_bound_is_the_benchmark_constant(self):
+        parser = cli.build_parser()
+        lowest = evaluation.MIN_TIMED_ITERS
+        argv = ["bench", "--ckpt", "m.pnet", "--data", "d", "--iters"]
+        assert parser.parse_args(argv + [str(lowest)]).iters == lowest
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv + [str(lowest - 1)])
 
     def test_parsing_any_subcommand_imports_no_numpy(self):
         # --threads caps BLAS through environment variables, which only
@@ -464,10 +498,10 @@ for argv in (
     ["train", "--data", "d"],
     ["eval", "--ckpt", "m.pnet", "--data", "d"],
     ["sweep", "--data", "d", "--filters", "2,4"],
-    ["embed", "--ckpt", "m.pnet", "--data", "d"],
+    ["embed", "--ckpt", "m.pnet", "--data", "d", "--perplexity", "5"],
     ["baseline-train", "--data", "d", "--gap", "0.3"],
     ["baseline-eval", "--model", "b.pbas", "--data", "d"],
-    ["bench", "--ckpt", "m.pnet", "--data", "d", "--threads", "1"],
+    ["bench", "--ckpt", "m.pnet", "--data", "d", "--threads", "1", "--iters", "10"],
 ):
     parser.parse_args(argv)
 assert "numpy" not in sys.modules, sorted(m for m in sys.modules if "numpy" in m)

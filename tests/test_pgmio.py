@@ -133,17 +133,27 @@ class TestBoundedReads:
         for read in (pgmio.read_manifest, pgmio.read_dataset):
             assert _refusal_peak(read, root, "byte limit") < 2**20
 
-    @pytest.mark.parametrize("name", ["others/00000.pgm", "giardia/00001.pgm"])
-    def test_a_wrong_sized_dataset_file_is_refused_after_its_header(self, tmp_path, name):
+    @pytest.mark.parametrize(
+        "name, w, h",
+        [
+            pytest.param("others/00000.pgm", 2048, 2048, id="others/00000.pgm"),
+            pytest.param("giardia/00001.pgm", 2048, 2048, id="giardia/00001.pgm"),
+            # a 2x capture is refused like any other size
+            pytest.param("crypto/00001.pgm", 24, 16, id="crypto/00001.pgm-2x"),
+        ],
+    )
+    def test_a_wrong_sized_dataset_file_is_refused_after_its_header(
+        self, tmp_path, name, w, h
+    ):
         images, labels = _tiny_dataset()
         root = tmp_path / "data"
         pgmio.write_dataset(str(root), images, labels, master_seed=0)
-        # a valid 2048x2048 image, sparse on disk, in an 8x12 dataset
-        header = b"P5\n2048 2048\n255\n"
+        # a valid w x h image, sparse on disk, in an 8x12 dataset
+        header = f"P5\n{w} {h}\n255\n".encode("ascii")
         path = root / name
         path.write_bytes(header)
-        os.truncate(path, len(header) + 2048 * 2048)
-        match = "got 2048x2048, expected 12x8 or 24x16"
+        os.truncate(path, len(header) + w * h)
+        match = f"{name}: got {w}x{h}, expected 12x8$"
         assert _refusal_peak(pgmio.read_dataset, str(root), match) < 2**20
 
     @pytest.mark.parametrize("extra", [0, 1])
@@ -158,23 +168,6 @@ class TestBoundedReads:
         else:
             want = np.arange(4, dtype=np.float32).reshape(2, 2) / 255.0
             np.testing.assert_array_equal(pgmio.read_pgm(str(path)), want)
-
-
-class TestDownscale:
-    def test_block_means(self):
-        img = np.array(
-            [[0.0, 1.0, 0.5, 0.5], [1.0, 0.0, 0.5, 0.5]], dtype=np.float32
-        )
-        out = pgmio.downscale_2x2(img)
-        np.testing.assert_allclose(out, [[0.5, 0.5]])
-
-    def test_odd_dimensions_rejected(self):
-        with pytest.raises(ValueError, match="divisible"):
-            pgmio.downscale_2x2(np.zeros((3, 4), dtype=np.float32))
-
-    def test_dtype_preserved(self):
-        out = pgmio.downscale_2x2(np.zeros((4, 4), dtype=np.float32))
-        assert out.dtype == np.float32
 
 
 def _tiny_dataset(n_per_class=2, h=8, w=12):
@@ -204,19 +197,6 @@ class TestDatasetLayout:
         assert manifest["height"] == 8 and manifest["width"] == 12
         assert manifest["counts"] == {"others": 3, "crypto": 3, "giardia": 3}
         assert manifest["split"] == "train"
-
-    def test_double_resolution_file_is_downscaled(self, tmp_path):
-        images, labels = _tiny_dataset()
-        root = str(tmp_path / "data")
-        pgmio.write_dataset(root, images, labels, master_seed=0)
-        # replace one file with a 2x upsampled copy; block averaging of
-        # four equal pixels must reproduce the original exactly
-        victim = os.path.join(root, "crypto", "00001.pgm")
-        original = pgmio.read_pgm(victim)
-        big = np.repeat(np.repeat(original, 2, axis=0), 2, axis=1)
-        pgmio.write_pgm(victim, big)
-        back_images, _ = pgmio.read_dataset(root)
-        np.testing.assert_array_equal(back_images[3, :, :, 0], original)
 
     def test_read_holds_the_images_once(self, tmp_path):
         # 30 images of 96x128: the 1.5 MB array dwarfs one file's temporaries
