@@ -44,26 +44,30 @@ def _ensure_parent(path: str) -> None:
         os.makedirs(parent, exist_ok=True)
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+def _int_at_least(text: str, minimum: int, expected: str) -> int:
+    """text as an integer of at least minimum; the usage error for any
+    other text says what was expected, where argparse would name the
+    type function."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}") from None
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1, "a positive integer")
 
 
 def _bench_iters(text: str) -> int:
-    value = int(text)
-    if value < MIN_TIMED_ITERS:
-        raise argparse.ArgumentTypeError(f"expected at least {MIN_TIMED_ITERS}, got {text}")
-    return value
+    return _int_at_least(text, MIN_TIMED_ITERS, f"at least {MIN_TIMED_ITERS}")
 
 
 def _seed(text: str) -> int:
     """A generator seed: numpy takes only non-negative integers."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text}")
-    return value
+    return _int_at_least(text, 0, "a non-negative integer")
 
 
 def _float(text: str) -> float:

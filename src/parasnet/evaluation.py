@@ -1,8 +1,10 @@
 """Evaluation tools: confusion matrices, capacity sweep, latency, silhouette.
 
 A classifier here is anything with predict_batch(images) -> labels,
-where images is (B, h, w, 1) float32 and the result is a (B,) integer
-array. CnnClassifier wraps a trained model in that interface.
+where images is any indexable stack of B (h, w, 1) images that yields
+float32, such as an array or the pgmio.ImageStack that read_dataset
+returns, and the result is a (B,) integer array. CnnClassifier wraps a
+trained model in that interface.
 """
 
 from __future__ import annotations

@@ -6,7 +6,9 @@ format "version", the image "height" and "width", the "master_seed",
 the per-class "counts", and any extra keys the writer passes, such as
 the "split" that `parasnet gen` records. Every image is at the manifest's
 size, so each pixel read is the 8-bit value on disk over 255; a 2x
-capture must be averaged down once, before it is written.
+capture must be averaged down once, before it is written. A split is
+held as those 8-bit values, a quarter of its float32 size, and an
+ImageStack converts them to float32 one batch at a time.
 """
 
 from __future__ import annotations
@@ -79,7 +81,8 @@ def _read_header_token(blob: bytes, pos: int, path: str) -> tuple[bytes, int]:
 
 
 def read_pgm(path: str, shape: tuple[int, int] | None = None) -> np.ndarray:
-    """Load a binary PGM as float32 in [0, 1]. Only maxval 255 is accepted.
+    """Load a binary PGM as its read-only (height, width) uint8 pixels.
+    Only maxval 255 is accepted.
 
     The header must end within the first MAX_HEADER_BYTES bytes, the
     image may hold at most MAX_PGM_PIXELS pixels, and the file must hold
@@ -129,8 +132,51 @@ def read_pgm(path: str, shape: tuple[int, int] | None = None) -> np.ndarray:
             f"{path}: pixel data truncated, expected {expected} bytes, "
             f"found {len(data)}"
         )
-    pixels = np.frombuffer(data, dtype=np.uint8).reshape(h, w)
-    return pixels.astype(np.float32) / 255.0
+    return np.frombuffer(data, dtype=np.uint8).reshape(h, w)
+
+
+class ImageStack:
+    """A read-only stack of 8-bit images that reads as float32 in [0, 1].
+
+    pixels is an (n, height, width, 1) uint8 array. Indexing with an
+    int, a slice or an int array converts only the images selected, to
+    pixels[key].astype(np.float32) / 255.0, so a consumer that takes a
+    batch at a time never holds the whole split as float32. Iteration
+    yields one float32 image at a time and np.asarray converts them all.
+    """
+
+    dtype = np.dtype(np.float32)
+
+    def __init__(self, pixels: np.ndarray):
+        if pixels.dtype != np.uint8 or pixels.ndim != 4 or pixels.shape[3] != 1:
+            raise ValueError(
+                f"expected (n, h, w, 1) uint8 pixels, got {pixels.dtype} {pixels.shape}"
+            )
+        self.pixels = pixels.view()
+        self.pixels.flags.writeable = False
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.pixels.shape
+
+    def __len__(self) -> int:
+        return len(self.pixels)
+
+    def __getitem__(self, key) -> np.ndarray:
+        images = self.pixels[key].astype(np.float32)
+        # in place, the same float32 division as images / 255.0
+        images /= 255.0
+        return images
+
+    def __iter__(self):
+        for i in range(len(self)):
+            yield self[i]
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if copy is False:
+            raise ValueError("an ImageStack converts to float32 only by copying")
+        images = self[:]
+        return images if dtype is None else images.astype(dtype, copy=False)
 
 
 def write_dataset(
@@ -242,11 +288,13 @@ def read_manifest(root: str) -> dict:
     return manifest
 
 
-def read_dataset(root: str) -> tuple[np.ndarray, np.ndarray]:
+def read_dataset(root: str) -> tuple[ImageStack, np.ndarray]:
     """Load every image listed in the manifest, in class then index order.
 
-    Returns (images, labels) with images shaped (N, height, width, 1),
-    read into one array allocated up front. A listed file that is missing
+    Returns (images, labels). images is an ImageStack of shape
+    (N, height, width, 1): the pixels are read into one uint8 array
+    allocated up front, one byte per pixel, and converted to float32
+    only as they are indexed. A listed file that is missing
     raises FileNotFoundError; a malformed manifest or image raises
     ValueError, and a file of any size but the manifest's, twice it
     included, is refused after its header.
@@ -271,8 +319,8 @@ def read_dataset(root: str) -> tuple[np.ndarray, np.ndarray]:
     if not paths:
         raise ValueError(f"{root}: manifest lists no images")
     first = read_pgm(paths[0], (h, w))
-    images = np.empty((len(paths), h, w, 1), first.dtype)
-    images[0, :, :, 0] = first
+    pixels = np.empty((len(paths), h, w, 1), np.uint8)
+    pixels[0, :, :, 0] = first
     for i in range(1, len(paths)):
-        images[i, :, :, 0] = read_pgm(paths[i], (h, w))
-    return images, np.array(labels, dtype=np.int64)
+        pixels[i, :, :, 0] = read_pgm(paths[i], (h, w))
+    return ImageStack(pixels), np.array(labels, dtype=np.int64)

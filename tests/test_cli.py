@@ -456,6 +456,27 @@ class TestUsageErrors:
         assert "argument --iters: expected at least 10, got 5" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["gen", "--train", "abc"], "argument --train: expected a positive integer, got 'abc'"),
+            (["gen", "--seed", "x"], "argument --seed: expected a non-negative integer, got 'x'"),
+            (
+                ["bench", "--ckpt", "m.pnet", "--data", "d", "--iters", "abc"],
+                "argument --iters: expected at least 10, got 'abc'",
+            ),
+        ],
+        ids=["positive-int", "seed", "bench-iters"],
+    )
+    def test_a_non_integer_is_a_usage_error_that_names_the_option(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
+        stderr = capsys.readouterr().err
+        assert message in stderr
+        for name in ("_positive_int", "_seed", "_bench_iters", "_int_at_least"):
+            assert name not in stderr
+
     def test_threads_one_is_accepted(self, tmp_path):
         code = cli.main([
             "gen", "--out", str(tmp_path / "d"), "--threads", "1",

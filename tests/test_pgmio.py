@@ -18,7 +18,8 @@ class TestWriteRead:
         path = str(tmp_path / "x.pgm")
         pgmio.write_pgm(path, img)
         back = pgmio.read_pgm(path)
-        np.testing.assert_array_equal(back, np.rint(img * 255.0) / np.float32(255.0))
+        assert back.dtype == np.uint8
+        np.testing.assert_array_equal(back, np.rint(img * 255.0).astype(np.uint8))
 
     def test_header_layout(self, tmp_path):
         path = str(tmp_path / "h.pgm")
@@ -62,7 +63,7 @@ class TestHeaderParsing:
         path.write_bytes(b"P5 # magic\n# a comment line\n  3\t2 # dims\n255\n" + pixels)
         img = pgmio.read_pgm(str(path))
         assert img.shape == (2, 3)
-        np.testing.assert_allclose(img[0, 1], 1.0 / 255.0)
+        np.testing.assert_array_equal(img, np.arange(6, dtype=np.uint8).reshape(2, 3))
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "ascii.pgm"
@@ -166,8 +167,77 @@ class TestBoundedReads:
             with pytest.raises(ValueError, match="header longer than"):
                 pgmio.read_pgm(str(path))
         else:
-            want = np.arange(4, dtype=np.float32).reshape(2, 2) / 255.0
+            want = np.arange(4, dtype=np.uint8).reshape(2, 2)
             np.testing.assert_array_equal(pgmio.read_pgm(str(path)), want)
+
+
+def _float32(pixels):
+    """the float32 expression read_pgm returned before it returned uint8"""
+    return pixels.astype(np.float32) / 255.0
+
+
+def _assert_bitwise_equal(got, want):
+    assert got.dtype == np.float32 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestImageStack:
+    @pytest.fixture
+    def pixels(self):
+        # every 8-bit value appears
+        rng = np.random.default_rng(3)
+        pixels = rng.permutation(np.arange(7 * 6 * 8) % 256).astype(np.uint8)
+        return pixels.reshape(7, 6, 8, 1)
+
+    @pytest.mark.parametrize(
+        "key",
+        [0, 6, -1, slice(None), slice(2, 5), slice(None, None, -2), np.array([4, 0, 4, 2])],
+        ids=["first", "last", "negative", "all", "slice", "step", "int-array"],
+    )
+    def test_indexing_converts_like_read_pgm_did(self, pixels, key):
+        stack = pgmio.ImageStack(pixels)
+        _assert_bitwise_equal(stack[key], _float32(pixels[key]))
+
+    def test_iteration_and_asarray_convert_like_read_pgm_did(self, pixels):
+        stack = pgmio.ImageStack(pixels)
+        images = list(stack)
+        assert len(images) == len(pixels)
+        for image, want in zip(images, pixels):
+            _assert_bitwise_equal(image, _float32(want))
+        _assert_bitwise_equal(np.asarray(stack), _float32(pixels))
+        assert np.asarray(stack, dtype=np.float64).dtype == np.float64
+
+    def test_reports_the_float32_stack_it_reads_as(self, pixels):
+        stack = pgmio.ImageStack(pixels)
+        assert len(stack) == 7 and stack.shape == (7, 6, 8, 1)
+        assert stack.dtype == np.float32
+
+    def test_is_read_only(self, pixels):
+        stack = pgmio.ImageStack(pixels)
+        with pytest.raises(TypeError):
+            stack[0] = 0.5
+        with pytest.raises(ValueError):
+            stack.pixels[0] = 1
+        # the caller's array stays writable
+        pixels[0] = 1
+
+    @pytest.mark.parametrize(
+        "pixels",
+        [np.zeros((2, 4, 4, 1), np.float32), np.zeros((2, 4, 4), np.uint8),
+         np.zeros((2, 4, 4, 3), np.uint8)],
+        ids=["float32", "no-channel", "three-channels"],
+    )
+    def test_takes_only_a_uint8_stack_of_one_channel(self, pixels):
+        with pytest.raises(ValueError, match="uint8"):
+            pgmio.ImageStack(pixels)
+
+    def test_read_dataset_holds_the_pixels_on_disk(self, tmp_path):
+        images, labels = _tiny_dataset()
+        root = str(tmp_path / "data")
+        pgmio.write_dataset(root, images, labels, master_seed=0)
+        back, _ = pgmio.read_dataset(root)
+        assert isinstance(back, pgmio.ImageStack)
+        np.testing.assert_array_equal(back.pixels, np.rint(images * 255.0).astype(np.uint8))
 
 
 def _tiny_dataset(n_per_class=2, h=8, w=12):
@@ -199,8 +269,10 @@ class TestDatasetLayout:
         assert manifest["split"] == "train"
 
     def test_read_holds_the_images_once(self, tmp_path):
-        # 30 images of 96x128: the 1.5 MB array dwarfs one file's temporaries
-        images, labels = _tiny_dataset(10, h=96, w=128)
+        # 30 images of 96x128: the 369 KB of 8-bit pixels dwarf one
+        # file's temporaries, and float32 would take four times that
+        n, h, w = 30, 96, 128
+        images, labels = _tiny_dataset(n // 3, h=h, w=w)
         root = str(tmp_path / "data")
         pgmio.write_dataset(root, images, labels, master_seed=0)
         tracemalloc.start()
@@ -209,7 +281,8 @@ class TestDatasetLayout:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * back.nbytes
+        assert back.shape == (n, h, w, 1)
+        assert peak <= 1.25 * n * h * w
 
     def test_missing_file_named_in_error(self, tmp_path):
         images, labels = _tiny_dataset()
