@@ -118,7 +118,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--threads", type=_positive_int, default=None,
-        help="cap BLAS worker threads (1 forces a serial, bit-reproducible run)",
+        help="cap BLAS worker threads; 1 makes runs bit-reproducible, and batch "
+             "inference then forks one worker per usable CPU (taskset limits them) "
+             "with byte-identical output",
     )
 
     train_opts = argparse.ArgumentParser(add_help=False)
