@@ -118,9 +118,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--threads", type=_positive_int, default=None,
-        help="cap BLAS worker threads; 1 makes runs bit-reproducible, and batch "
-             "inference then forks one worker per usable CPU (taskset limits them) "
-             "with byte-identical output",
+        help="cap BLAS worker threads; 1 makes runs bit-reproducible, and gen and "
+             "batch inference then share their images with one forked child per "
+             "further usable CPU (taskset limits them) with byte-identical output",
     )
 
     train_opts = argparse.ArgumentParser(add_help=False)
@@ -231,20 +231,35 @@ def _echo(args: argparse.Namespace) -> None:
     print(f"[{args.command}] " + " ".join(f"{k}={v}" for k, v in pairs))
 
 
+def _gen_range(root: str, config, seed: int, split: str, start: int, stop: int) -> None:
+    """Writes images start..stop-1 of a split, image k being sample
+    k // NUM_CLASSES of class k % NUM_CLASSES: interleaved, the classes
+    share every range alike, and so do their unequal render times."""
+    from . import NUM_CLASSES, pgmio, synth
+
+    for k in range(start, stop):
+        label, index = k % NUM_CLASSES, k // NUM_CLASSES
+        image = synth.gen_sample(label, index, config, seed, split)
+        pgmio.write_pgm(pgmio.image_path(root, label, index), image)
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
-    from . import pgmio, synth
+    from . import NUM_CLASSES, pgmio, shards, synth
 
     config = synth.GenConfig()
     train_n, test_n = (5000, 1000) if args.full_scale else (args.train, args.test)
-    for split, count in (("train", train_n), ("test", test_n)):
-        labels = synth.split_labels(count)
+    for split, per_class in (("train", train_n), ("test", test_n)):
         root = os.path.join(args.out, split)
+        pgmio.start_dataset(root)
         # each image is written as it is generated, so no split is held whole
-        pgmio.write_dataset(
-            root, synth.gen_images(config, args.seed, split, labels), labels, args.seed,
+        shards.map_ranges(
+            _gen_range, (root, config, args.seed, split), NUM_CLASSES * per_class
+        )
+        pgmio.write_manifest(
+            root, config.height, config.width, args.seed, [per_class] * NUM_CLASSES,
             extra={"split": split},
         )
-        print(f"wrote {len(labels)} images under {root}")
+        print(f"wrote {NUM_CLASSES * per_class} images under {root}")
     return 0
 
 

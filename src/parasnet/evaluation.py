@@ -7,9 +7,10 @@ returns, and the result is a (B,) integer array. CnnClassifier wraps a
 trained model in that interface.
 
 CnnClassifier.predict_batch and hidden_features go through
-model.forward_images, which may split a large stack over forked worker
-processes with bit-identical results; predict_one and benchmark always
-run one image at a time in the calling process.
+model.forward_images, which may split a large stack between the
+calling process and forked children with bit-identical results;
+predict_one and benchmark always run one image at a time in the
+calling process.
 """
 
 from __future__ import annotations

@@ -8,19 +8,14 @@ The number of filters per conv layer is the single width knob.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import INPUT_HEIGHT, INPUT_WIDTH, NUM_CLASSES, batched, container
+from . import INPUT_HEIGHT, INPUT_WIDTH, NUM_CLASSES, batched, container, shards
 
 HIDDEN_UNITS = 128
 DROPOUT_RATE = 0.5
-# forward_images forks no worker for fewer images than this. On a 2-core
-# Xeon, at 244x324 and F=8, starting and joining two forked workers cost
-# as much as about 6 images each of serial work, and 16 each ran x1.1-1.2
-MIN_IMAGES_PER_WORKER = 16
 
 CHECKPOINT_MAGIC = b"PNET"
 CHECKPOINT_VERSION = 1
@@ -338,75 +333,17 @@ def _concat(outputs: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, n
     return np.concatenate(probs), np.concatenate(hidden)
 
 
-# (model, images) in a forked worker of forward_images, set by its
-# initializer; the calling process never sets it
-_shard_source: tuple = ()
-
-
-def _init_shard_worker(model: ParasNetModel, images: np.ndarray) -> None:
-    global _shard_source
-    _shard_source = (model, images)
-
-
-def _forward_shard(bounds: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    return _forward_range(*_shard_source, *bounds)
-
-
-def _shard_workers(n_images: int) -> int:
-    """How many forked workers forward_images uses, or 0 for the serial
-    loop: one per usable CPU with at least MIN_IMAGES_PER_WORKER images
-    each, and none unless at least two remain. A process with a second
-    OS thread (multi-threaded BLAS, say) never forks, since a lock that
-    thread held would stay held in the child."""
-    if not hasattr(os, "sched_getaffinity") or not hasattr(os, "fork"):
-        return 0
-    try:
-        threads = len(os.listdir("/proc/self/task"))
-    except OSError:
-        return 0
-    workers = min(len(os.sched_getaffinity(0)), n_images // MIN_IMAGES_PER_WORKER)
-    if threads != 1 or workers < 2:
-        return 0
-    # imported only here: the import adds 0.4-0.8 MB of resident memory,
-    # which processes that never fork (gen, bench, the baseline) need not pay
-    import multiprocessing
-
-    # a daemonic process, such as another pool's worker, may have no children
-    return 0 if multiprocessing.current_process().daemon else workers
-
-
 def forward_images(model: ParasNetModel, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inference-mode (probs, hidden) for a stack of images: an array or
     any stack whose slices are arrays, such as a pgmio.ImageStack.
 
     Every image goes through its own forward_batch call, so the output
-    is bit-identical however the stack is split. When _shard_workers
-    allows, the stack is cut into contiguous index ranges, one per
-    forked worker; each worker inherits the model and the images and
-    sends back only its range's outputs, which are concatenated in
-    order. The pool lives only for this call: it is joined on return,
-    terminated on any exception, and a worker's exception is re-raised
-    here with its type.
+    is bit-identical however the stack is split. shards.map_ranges
+    cuts the stack into contiguous index ranges, run by this process
+    and by forked children that inherit the model and the images and
+    send back only their range's outputs, concatenated here in order.
     """
-    n = len(images)
-    workers = _shard_workers(n)
-    if not workers:
-        return _forward_range(model, images, 0, n)
-    import multiprocessing
-
-    bounds = [(n * k // workers, n * (k + 1) // workers) for k in range(workers)]
-    pool = multiprocessing.get_context("fork").Pool(
-        workers, initializer=_init_shard_worker, initargs=(model, images)
-    )
-    try:
-        shards = pool.map(_forward_shard, bounds, chunksize=1)
-        pool.close()
-    except BaseException:
-        pool.terminate()
-        raise
-    finally:
-        pool.join()
-    return _concat(shards)
+    return _concat(shards.map_ranges(_forward_range, (model, images), len(images)))
 
 
 def check_savable(model: ParasNetModel) -> None:

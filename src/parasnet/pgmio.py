@@ -4,22 +4,25 @@ A dataset directory holds one subdirectory per class, each containing
 zero-padded NNNNN.pgm files, and a manifest.json holding the manifest
 format "version", the image "height" and "width", the "master_seed",
 the per-class "counts", and any extra keys the writer passes, such as
-the "split" that `parasnet gen` records. Every image is at the manifest's
-size, so each pixel read is the 8-bit value on disk over 255; a 2x
-capture must be averaged down once, before it is written. A split is
-held as those 8-bit values, a quarter of its float32 size, and an
-ImageStack converts them to float32 one batch at a time.
+the "split" that `parasnet gen` records. A writer calls start_dataset,
+writes each image at its image_path and calls write_manifest last, so
+a directory with a manifest holds every image it lists. Every image is
+at the manifest's size, so each pixel read is the 8-bit value on disk
+over 255; a 2x capture must be averaged down once, before it is
+written. A split is held as those 8-bit values, a quarter of its
+float32 size, and an ImageStack converts them to float32 one batch at
+a time.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Iterable
+import re
 
 import numpy as np
 
-from . import CLASS_NAMES, NUM_CLASSES
+from . import CLASS_NAMES
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_VERSION = 1
@@ -31,6 +34,11 @@ MAX_MANIFEST_BYTES = 2**20
 # pixels (4096x4096, against 79,056 in the 244x324 frame)
 MAX_HEADER_BYTES = 4096
 MAX_PGM_PIXELS = 2**24
+# between header tokens: whitespace (the six bytes bytes.isspace accepts)
+# and comments, each from a "#" up to the next line end; a token runs to
+# the next whitespace
+_HEADER_GAP = re.compile(rb"(?:\s|#[^\n\r]*)*")
+_HEADER_TOKEN = re.compile(rb"\S*")
 
 
 def write_pgm(path: str, image: np.ndarray) -> None:
@@ -62,27 +70,21 @@ def _header_ended(blob: bytes, path: str) -> ValueError:
 
 
 def _read_header_token(blob: bytes, pos: int, path: str) -> tuple[bytes, int]:
-    n = len(blob)
-    while pos < n:
-        c = blob[pos : pos + 1]
-        if c == b"#":
-            while pos < n and blob[pos : pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-        elif c.isspace():
-            pos += 1
-        else:
-            break
-    if pos >= n:
+    """The token at or after pos, past any whitespace and comments, and
+    the position just after it."""
+    pos = _HEADER_GAP.match(blob, pos).end()
+    if pos >= len(blob):
         raise _header_ended(blob, path)
-    start = pos
-    while pos < n and not blob[pos : pos + 1].isspace():
-        pos += 1
-    return blob[start:pos], pos
+    end = _HEADER_TOKEN.match(blob, pos).end()
+    return blob[pos:end], end
 
 
-def read_pgm(path: str, shape: tuple[int, int] | None = None) -> np.ndarray:
-    """Load a binary PGM as its read-only (height, width) uint8 pixels.
-    Only maxval 255 is accepted.
+def read_pgm(
+    path: str, shape: tuple[int, int] | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Load a binary PGM as its read-only (height, width) uint8 pixels,
+    or read them into out, a writable C-contiguous uint8 array of the
+    image's size, and return out. Only maxval 255 is accepted.
 
     The header must end within the first MAX_HEADER_BYTES bytes, the
     image may hold at most MAX_PGM_PIXELS pixels, and the file must hold
@@ -92,8 +94,8 @@ def read_pgm(path: str, shape: tuple[int, int] | None = None) -> np.ndarray:
     sparse, doctored or wrong-sized file is refused without allocating
     what it declares.
     """
-    # unbuffered, so the header and the pixels are one read each with no
-    # copy through a buffer
+    # unbuffered, so the header and the pixels are one read each, the
+    # pixels straight into their array
     with open(path, "rb", buffering=0) as fh:
         head = fh.read(MAX_HEADER_BYTES)
         if head[:2] != b"P5":
@@ -126,13 +128,15 @@ def read_pgm(path: str, shape: tuple[int, int] | None = None) -> np.ndarray:
                 f"{path}: {found - expected} trailing bytes after {expected} bytes of pixels"
             )
         fh.seek(start)
-        data = fh.read(expected)
-    if len(data) != expected:
+        pixels = np.empty((h, w), np.uint8) if out is None else out
+        read = fh.readinto(pixels)
+    if read != expected:
         raise ValueError(
-            f"{path}: pixel data truncated, expected {expected} bytes, "
-            f"found {len(data)}"
+            f"{path}: pixel data truncated, expected {expected} bytes, found {read}"
         )
-    return np.frombuffer(data, dtype=np.uint8).reshape(h, w)
+    if out is None:
+        pixels.flags.writeable = False
+    return pixels
 
 
 class ImageStack:
@@ -179,58 +183,49 @@ class ImageStack:
         return images if dtype is None else images.astype(dtype, copy=False)
 
 
-def write_dataset(
-    root: str,
-    images: Iterable[np.ndarray],
-    labels: np.ndarray,
-    master_seed: int,
-    extra: dict | None = None,
-) -> None:
-    """Write images into the class-directory layout with a manifest.
+def image_path(root: str, label: int, index: int) -> str:
+    """Where a dataset keeps the index-th image of class label."""
+    return os.path.join(root, CLASS_NAMES[label], f"{index:05d}.pgm")
 
-    images is an array or any iterable of same-sized images, such as a
-    generator, and is consumed one image at a time, so a split need not
-    be held in memory whole. The manifest is written last: an image and
-    label count that disagree, or an image of another size, raise
-    ValueError before it.
-    """
-    counts = [0] * NUM_CLASSES
-    size = None
-    os.makedirs(root, exist_ok=True)
+
+def start_dataset(root: str) -> None:
+    """Make root's class directories and remove any manifest in it, so that
+    no reader takes root for a whole dataset while its images are being
+    written; write_manifest marks it whole again."""
     for name in CLASS_NAMES:
         os.makedirs(os.path.join(root, name), exist_ok=True)
-    images = iter(images)
-    for label in labels:
-        image = next(images, None)
-        if image is None:
-            raise ValueError("images and labels disagree in length")
-        if size is None:
-            size = image.shape[:2]
-        elif image.shape[:2] != size:
-            raise ValueError(f"image of size {image.shape[:2]} among images of {size}")
-        name = CLASS_NAMES[int(label)]
-        index = counts[int(label)]
-        counts[int(label)] += 1
-        write_pgm(os.path.join(root, name, f"{index:05d}.pgm"), image)
-        # dropped before the next image is made, so a generator's images
-        # are held one at a time
-        del image
-    if next(images, None) is not None:
-        raise ValueError("images and labels disagree in length")
-    if size is None:
-        raise ValueError("no images to write")
+    try:
+        os.remove(os.path.join(root, MANIFEST_NAME))
+    except FileNotFoundError:
+        pass
+
+
+def write_manifest(
+    root: str,
+    height: int,
+    width: int,
+    master_seed: int,
+    counts: list[int],
+    extra: dict | None = None,
+) -> None:
+    """Write root's manifest for counts[label] images of each class, plus
+    the extra keys. It goes to a temporary file in root first and is then
+    renamed over MANIFEST_NAME, so a reader finds either no manifest or a
+    whole one."""
     manifest = {
         "version": MANIFEST_VERSION,
-        "height": int(size[0]),
-        "width": int(size[1]),
+        "height": int(height),
+        "width": int(width),
         "master_seed": int(master_seed),
         "counts": {name: counts[i] for i, name in enumerate(CLASS_NAMES)},
     }
     if extra:
         manifest.update(extra)
-    with open(os.path.join(root, MANIFEST_NAME), "w") as fh:
+    path = os.path.join(root, MANIFEST_NAME)
+    with open(path + ".tmp", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    os.replace(path + ".tmp", path)
 
 
 def _is_int_at_least(value, minimum: int) -> bool:
@@ -309,7 +304,7 @@ def read_dataset(root: str) -> tuple[ImageStack, np.ndarray]:
     for label, name in enumerate(CLASS_NAMES):
         count = manifest["counts"].get(name, 0)
         for index in range(count):
-            path = os.path.join(root, name, f"{index:05d}.pgm")
+            path = image_path(root, label, index)
             if not os.path.exists(path):
                 raise FileNotFoundError(
                     f"manifest promises {count} {name} images but {path} is missing"
@@ -322,5 +317,5 @@ def read_dataset(root: str) -> tuple[ImageStack, np.ndarray]:
     pixels = np.empty((len(paths), h, w, 1), np.uint8)
     pixels[0, :, :, 0] = first
     for i in range(1, len(paths)):
-        pixels[i, :, :, 0] = read_pgm(paths[i], (h, w))
+        read_pgm(paths[i], (h, w), out=pixels[i, :, :, 0])
     return ImageStack(pixels), np.array(labels, dtype=np.int64)

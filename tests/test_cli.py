@@ -1,5 +1,6 @@
 """End-to-end runs of the command line against a micro dataset."""
 
+import multiprocessing
 import os
 import re
 import subprocess
@@ -10,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dataset_writer import write_dataset
+from forking import needs_fork, rerun_single_threaded
 from parasnet import cli, evaluation, pgmio, synth, tsne
 from parasnet.baseline import classify
 from parasnet.model import load_checkpoint, param_count
@@ -85,6 +88,66 @@ class TestGen:
         assert code == 0
         assert os.path.exists(tmp_path / "dataset" / "train" / "manifest.json")
 
+    @needs_fork
+    def test_forked_tree_is_byte_identical_to_the_serial_one(
+        self, dataset, tmp_path, cpus, monkeypatch
+    ):
+        made_here = []
+        gen_sample = synth.gen_sample
+
+        def recorded(label, index, config, seed, split):
+            made_here.append((split, label, index))
+            return gen_sample(label, index, config, seed, split)
+
+        monkeypatch.setattr(synth, "gen_sample", recorded)
+        # the dataset fixture's 9 and 6 images ran in this process alone
+        cpus(2)
+        forked = str(tmp_path / "forked")
+        argv = ["gen", "--out", forked, "--seed", "7", "--train", "3", "--test", "2"]
+        assert cli.main(argv) == 0
+        assert tree_bytes(forked) == tree_bytes(dataset)
+        # this process made the first of two ranges, the classes interleaved
+        # (others 0, crypto 0, giardia 0, others 1, ...), and a child the rest
+        assert made_here == [
+            ("train", 0, 0), ("train", 1, 0), ("train", 2, 0), ("train", 0, 1),
+            ("test", 0, 0), ("test", 1, 0), ("test", 2, 0),
+        ]
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    def test_a_forked_failure_leaves_no_manifest(self, tmp_path, cpus, monkeypatch, capsys):
+        out = tmp_path / "data"
+        argv = ["gen", "--out", str(out), "--train", "3", "--test", "2"]
+        assert cli.main([*argv, "--seed", "1"]) == 0
+        cpus(2)
+        parent = os.getpid()
+        gen_sample = synth.gen_sample
+
+        def full_disk_at_crypto_2(label, index, config, seed, split):
+            # image 7 of the train split, in the forked child's range
+            if (label, index) == (1, 2):
+                assert os.getpid() != parent
+                raise OSError(28, "No space left on device")
+            return gen_sample(label, index, config, seed, split)
+
+        monkeypatch.setattr(synth, "gen_sample", full_disk_at_crypto_2)
+        capsys.readouterr()
+        assert cli.main([*argv, "--seed", "2"]) == 1
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+        # seed 2 rewrote some of seed 1's images, so the split is gone, not mixed
+        assert not (out / "train" / pgmio.MANIFEST_NAME).exists()
+        with pytest.raises(FileNotFoundError, match="manifest"):
+            pgmio.read_dataset(str(out / "train"))
+        assert multiprocessing.active_children() == []
+
+    def test_forked_tests_run_in_a_single_threaded_process(self):
+        rerun_single_threaded(*(
+            f"{__file__}::TestGen::{name}" for name in (
+                "test_forked_tree_is_byte_identical_to_the_serial_one",
+                "test_a_forked_failure_leaves_no_manifest",
+            )
+        ))
+
 
 class TestTrain:
     def test_checkpoint_has_the_advertised_parameter_count(self, dataset, tmp_path):
@@ -121,7 +184,7 @@ class TestTrain:
         images = np.zeros((3, 94, 94, 1), np.float32)
         labels = np.array([0, 1, 2])
         for split in ("train", "test"):
-            pgmio.write_dataset(os.path.join(root, split), images, labels, 0)
+            write_dataset(os.path.join(root, split), images, labels, 0)
         ckpt = tmp_path / "m.pnet"
         code = cli.main([
             "train", "--data", root, "--filters", "2", "--epochs", "1",
@@ -211,7 +274,7 @@ class TestEval:
     def test_embed_of_a_one_class_split_skips_the_silhouette(self, ckpt, tmp_path, capsys):
         root = str(tmp_path / "one")
         images = np.random.default_rng(0).random((7, 244, 324, 1)).astype(np.float32)
-        pgmio.write_dataset(os.path.join(root, "test"), images, np.zeros(7, np.int64), 0)
+        write_dataset(os.path.join(root, "test"), images, np.zeros(7, np.int64), 0)
         out = tmp_path / "e.csv"
         code = cli.main([
             "embed", "--ckpt", ckpt, "--data", root, "--out", str(out),

@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from dataset_writer import write_dataset
 from parasnet import CLASS_NAMES, container, pgmio
 from parasnet import model as pm
 from parasnet.baseline import classify
@@ -268,7 +269,7 @@ def test_load_baseline_loads_or_raises_baseline_file_error(workdir, valid_baseli
 def dataset_root(workdir):
     root = str(workdir / "dataset")
     images = np.random.default_rng(6).random((6, 8, 12, 1)).astype(np.float32)
-    pgmio.write_dataset(root, images, np.repeat(np.arange(3), 2), master_seed=1)
+    write_dataset(root, images, np.repeat(np.arange(3), 2), master_seed=1)
     return root, _read(os.path.join(root, pgmio.MANIFEST_NAME))
 
 

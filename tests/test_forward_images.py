@@ -1,23 +1,19 @@
-"""model.forward_images: the empty stack, the forked workers over
-contiguous shards, and the serial loop it falls back to."""
+"""model.forward_images: the empty stack, the contiguous shards split
+between this process and forked children, and the serial loop it falls
+back to."""
 
 import multiprocessing
 import os
-import subprocess
-import sys
 import threading
 
 import numpy as np
 import pytest
 
-import parasnet
-from parasnet import cli, evaluation, pgmio
+from dataset_writer import write_dataset
+from forking import needs_fork, rerun_single_threaded
+from parasnet import cli, evaluation, pgmio, shards
 from parasnet import model as pm
 from parasnet import training as tr
-
-
-def _single_threaded() -> bool:
-    return len(os.listdir("/proc/self/task")) == 1
 
 
 def _model():
@@ -63,33 +59,6 @@ class TestEmptyStack:
 
 
 @pytest.fixture
-def cpus(monkeypatch):
-    """Sets how many CPUs forward_images sees as usable, and lowers the
-    per-worker minimum to 2 images so that small stacks are sharded."""
-    monkeypatch.setattr(pm, "MIN_IMAGES_PER_WORKER", 2)
-
-    def use(count: int) -> None:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-
-    return use
-
-
-@pytest.fixture
-def in_workers_only(monkeypatch):
-    """Makes forward_batch raise when the test's own process calls it,
-    so a stack that is not sharded fails loudly."""
-    parent = os.getpid()
-    forward_batch = pm.forward_batch
-
-    def guarded(*args, **kwargs):
-        if os.getpid() == parent:
-            raise RuntimeError("forward_batch ran in the parent")
-        return forward_batch(*args, **kwargs)
-
-    monkeypatch.setattr(pm, "forward_batch", guarded)
-
-
-@pytest.fixture
 def in_parent_calls(monkeypatch):
     """Counts the forward_batch calls made in the test's own process."""
     parent = os.getpid()
@@ -105,33 +74,45 @@ def in_parent_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.skipif(not _single_threaded(),
-                    reason="forks only from a single-threaded process; "
-                           "test_sharding_runs_in_a_single_threaded_process reruns these")
+@needs_fork
 class TestSharding:
     @pytest.mark.parametrize("kind", ["array", "stack"])
     @pytest.mark.parametrize("workers", [2, 3])
     def test_shards_are_bit_identical_to_the_serial_loop(
-        self, cpus, in_workers_only, kind, workers
+        self, cpus, in_parent_calls, kind, workers
     ):
         model = _model()
         # 7 images: shards of 3 and 4, or of 2, 2 and 3
         images = _stacks(7)[kind]
         want = _serial(model, images)
         cpus(workers)
-        assert pm._shard_workers(len(images)) == workers
+        assert shards.count(len(images)) == workers
         got = pm.forward_images(model, images)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.shape == w.shape
             assert g.tobytes() == w.tobytes()
+        # this process ran the first shard alone
+        assert in_parent_calls == [1] * (7 // workers)
         assert multiprocessing.active_children() == []
 
-    def test_a_worker_value_error_reaches_the_caller(self, cpus, in_workers_only):
+    @pytest.mark.parametrize("where", ["everywhere", "children"])
+    def test_a_value_error_reaches_the_caller(self, cpus, monkeypatch, where):
         cpus(2)
-        # a default-size model cannot take 94x94 images
-        model = pm.build_model(1, seed=0)
+        # a default-size model cannot take 94x94 images; with where set to
+        # "children", only the forked child gets it, so its error must
+        # cross back
+        wrong = pm.build_model(1, seed=0)
+        parent = os.getpid()
+        forward_batch = pm.forward_batch
+
+        def forward(model, x, *args, **kwargs):
+            if where == "everywhere" or os.getpid() != parent:
+                model = wrong
+            return forward_batch(model, x, *args, **kwargs)
+
+        monkeypatch.setattr(pm, "forward_batch", forward)
         with pytest.raises(ValueError, match="does not match dense layer"):
-            pm.forward_images(model, _stacks(5)["array"])
+            pm.forward_images(_model(), _stacks(5)["array"])
         assert multiprocessing.active_children() == []
 
     def test_eval_exits_1_with_the_serial_error_line(
@@ -139,17 +120,17 @@ class TestSharding:
     ):
         labels = np.array([0, 0, 1, 1, 2, 2])
         data = tmp_path / "data"
-        pgmio.write_dataset(str(data / "test"), _pixels(6) / 255.0, labels, 1)
+        write_dataset(str(data / "test"), _pixels(6) / 255.0, labels, 1)
         ckpt = str(tmp_path / "m.pnet")
         pm.save_checkpoint(pm.build_model(1, seed=0), ckpt)
         argv = ["eval", "--ckpt", ckpt, "--data", str(data),
                 "--out", str(tmp_path / "c.csv")]
         cpus(1)
-        assert pm._shard_workers(len(labels)) == 0
+        assert shards.count(len(labels)) == 1
         assert cli.main(argv) == 1
         serial = capsys.readouterr().err
         cpus(2)
-        assert pm._shard_workers(len(labels)) == 2
+        assert shards.count(len(labels)) == 2
         assert cli.main(argv) == 1
         sharded = capsys.readouterr().err
         assert sharded == serial
@@ -163,7 +144,7 @@ class TestSharding:
         thread = threading.Thread(target=release.wait)
         thread.start()
         try:
-            assert pm._shard_workers(7) == 0
+            assert shards.count(7) == 1
             got = pm.forward_images(_model(), _stacks(7)["array"])
         finally:
             release.set()
@@ -178,8 +159,8 @@ class TestSharding:
 
     def test_serial_below_the_per_worker_minimum(self, cpus, in_parent_calls):
         cpus(2)
-        # two workers need 2 * MIN_IMAGES_PER_WORKER = 4 images
-        assert pm._shard_workers(3) == 0 and pm._shard_workers(4) == 2
+        # two shards need 2 * MIN_IMAGES_PER_SHARD = 4 images
+        assert shards.count(3) == 1 and shards.count(4) == 2
         pm.forward_images(_model(), _stacks(3)["array"])
         assert in_parent_calls == [1] * 3
 
@@ -195,29 +176,16 @@ class TestSharding:
 
     def test_workers_are_capped_by_the_images(self, cpus):
         cpus(8)
-        assert [pm._shard_workers(n) for n in (5, 6, 9, 16, 17)] == [2, 3, 4, 8, 8]
+        assert [shards.count(n) for n in (5, 6, 9, 16, 17)] == [2, 3, 4, 8, 8]
 
 
 def _forward_in_worker(images):
     # a pool worker is daemonic, so forward_images must not fork from it
-    assert pm._shard_workers(len(images)) == 0
+    assert shards.count(len(images)) == 1
     return pm.forward_images(_model(), images)
 
 
 def test_sharding_runs_in_a_single_threaded_process():
     """This process has a second thread (a multi-threaded BLAS, say), so
     TestSharding skipped here: run it where BLAS has one thread, as CI does."""
-    if _single_threaded():
-        pytest.skip("TestSharding ran in this process")
-    src = os.path.dirname(os.path.dirname(parasnet.__file__))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1", PYTHONPATH=src)
-    done = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "-W", "error::DeprecationWarning", "-W", "error::ResourceWarning",
-         "-W", "error::pytest.PytestUnraisableExceptionWarning",
-         f"{__file__}::TestSharding"],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert done.returncode == 0, done.stdout + done.stderr
-    assert "skipped" not in done.stdout, done.stdout
+    rerun_single_threaded(f"{__file__}::TestSharding")

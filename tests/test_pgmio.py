@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dataset_writer import write_dataset
 from parasnet import pgmio
 
 
@@ -129,7 +130,7 @@ class TestBoundedReads:
     def test_a_sparse_manifest_is_refused_before_reading(self, tmp_path):
         images, labels = _tiny_dataset()
         root = str(tmp_path / "data")
-        pgmio.write_dataset(root, images, labels, master_seed=0)
+        write_dataset(root, images, labels, master_seed=0)
         os.truncate(os.path.join(root, pgmio.MANIFEST_NAME), 64 * 2**20)
         for read in (pgmio.read_manifest, pgmio.read_dataset):
             assert _refusal_peak(read, root, "byte limit") < 2**20
@@ -148,7 +149,7 @@ class TestBoundedReads:
     ):
         images, labels = _tiny_dataset()
         root = tmp_path / "data"
-        pgmio.write_dataset(str(root), images, labels, master_seed=0)
+        write_dataset(str(root), images, labels, master_seed=0)
         # a valid w x h image, sparse on disk, in an 8x12 dataset
         header = f"P5\n{w} {h}\n255\n".encode("ascii")
         path = root / name
@@ -234,7 +235,7 @@ class TestImageStack:
     def test_read_dataset_holds_the_pixels_on_disk(self, tmp_path):
         images, labels = _tiny_dataset()
         root = str(tmp_path / "data")
-        pgmio.write_dataset(root, images, labels, master_seed=0)
+        write_dataset(root, images, labels, master_seed=0)
         back, _ = pgmio.read_dataset(root)
         assert isinstance(back, pgmio.ImageStack)
         np.testing.assert_array_equal(back.pixels, np.rint(images * 255.0).astype(np.uint8))
@@ -251,7 +252,7 @@ class TestDatasetLayout:
     def test_write_read_round_trip(self, tmp_path):
         images, labels = _tiny_dataset()
         root = str(tmp_path / "data")
-        pgmio.write_dataset(root, images, labels, master_seed=42)
+        write_dataset(root, images, labels, master_seed=42)
         back_images, back_labels = pgmio.read_dataset(root)
         np.testing.assert_array_equal(back_labels, labels)
         np.testing.assert_array_equal(
@@ -261,12 +262,41 @@ class TestDatasetLayout:
     def test_manifest_contents(self, tmp_path):
         images, labels = _tiny_dataset(3)
         root = str(tmp_path / "data")
-        pgmio.write_dataset(root, images, labels, master_seed=9, extra={"split": "train"})
+        write_dataset(root, images, labels, master_seed=9, extra={"split": "train"})
         manifest = pgmio.read_manifest(root)
         assert manifest["master_seed"] == 9
         assert manifest["height"] == 8 and manifest["width"] == 12
         assert manifest["counts"] == {"others": 3, "crypto": 3, "giardia": 3}
         assert manifest["split"] == "train"
+
+    def test_image_path_is_the_one_naming_rule(self, tmp_path):
+        images, labels = _tiny_dataset()
+        root = str(tmp_path / "data")
+        write_dataset(root, images, labels, master_seed=0)
+        assert pgmio.image_path(root, 2, 1) == os.path.join(root, "giardia", "00001.pgm")
+        np.testing.assert_array_equal(
+            pgmio.read_pgm(pgmio.image_path(root, 2, 1)),
+            np.rint(images[5, :, :, 0] * 255.0).astype(np.uint8),
+        )
+
+    def test_start_dataset_removes_the_manifest_and_keeps_the_images(self, tmp_path):
+        images, labels = _tiny_dataset()
+        root = str(tmp_path / "data")
+        write_dataset(root, images, labels, master_seed=0)
+        pgmio.start_dataset(root)
+        assert sorted(os.listdir(root)) == ["crypto", "giardia", "others"]
+        assert len(os.listdir(os.path.join(root, "crypto"))) == 2
+        with pytest.raises(FileNotFoundError, match="manifest"):
+            pgmio.read_dataset(root)
+
+    def test_write_manifest_replaces_the_old_one_whole(self, tmp_path):
+        root = str(tmp_path)
+        pgmio.write_manifest(root, 8, 12, 1, [1, 2, 3])
+        pgmio.write_manifest(root, 8, 12, 2, [4, 5, 6], extra={"split": "test"})
+        assert os.listdir(root) == [pgmio.MANIFEST_NAME]
+        manifest = pgmio.read_manifest(root)
+        assert manifest["master_seed"] == 2 and manifest["split"] == "test"
+        assert manifest["counts"] == {"others": 4, "crypto": 5, "giardia": 6}
 
     def test_read_holds_the_images_once(self, tmp_path):
         # 30 images of 96x128: the 369 KB of 8-bit pixels dwarf one
@@ -274,7 +304,7 @@ class TestDatasetLayout:
         n, h, w = 30, 96, 128
         images, labels = _tiny_dataset(n // 3, h=h, w=w)
         root = str(tmp_path / "data")
-        pgmio.write_dataset(root, images, labels, master_seed=0)
+        write_dataset(root, images, labels, master_seed=0)
         tracemalloc.start()
         try:
             back, _ = pgmio.read_dataset(root)
@@ -287,7 +317,7 @@ class TestDatasetLayout:
     def test_missing_file_named_in_error(self, tmp_path):
         images, labels = _tiny_dataset()
         root = str(tmp_path / "data")
-        pgmio.write_dataset(root, images, labels, master_seed=0)
+        write_dataset(root, images, labels, master_seed=0)
         os.remove(os.path.join(root, "giardia", "00000.pgm"))
         with pytest.raises(FileNotFoundError, match="giardia"):
             pgmio.read_dataset(root)
@@ -295,7 +325,7 @@ class TestDatasetLayout:
     def test_unexpected_size_named_in_error(self, tmp_path):
         images, labels = _tiny_dataset()
         root = str(tmp_path / "data")
-        pgmio.write_dataset(root, images, labels, master_seed=0)
+        write_dataset(root, images, labels, master_seed=0)
         pgmio.write_pgm(
             os.path.join(root, "others", "00000.pgm"), np.zeros((5, 7), dtype=np.float32)
         )
@@ -350,7 +380,7 @@ class TestDatasetLayout:
 
     def test_mismatched_lengths_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="disagree"):
-            pgmio.write_dataset(
+            write_dataset(
                 str(tmp_path / "d"),
                 np.zeros((2, 4, 4, 1), dtype=np.float32),
                 np.zeros(3, dtype=np.int64),
@@ -361,7 +391,7 @@ class TestDatasetLayout:
     def test_a_generator_of_the_wrong_length_writes_no_manifest(self, tmp_path, n_images):
         images = (np.zeros((4, 4, 1), dtype=np.float32) for _ in range(n_images))
         with pytest.raises(ValueError, match="disagree"):
-            pgmio.write_dataset(str(tmp_path), images, np.zeros(3, dtype=np.int64), 0)
+            write_dataset(str(tmp_path), images, np.zeros(3, dtype=np.int64), 0)
         assert not (tmp_path / pgmio.MANIFEST_NAME).exists()
 
     @pytest.mark.parametrize(
@@ -370,7 +400,7 @@ class TestDatasetLayout:
     def test_mixed_sizes_or_no_images_write_no_manifest(self, tmp_path, images, match):
         labels = np.zeros(len(images), dtype=np.int64)
         with pytest.raises(ValueError, match=match):
-            pgmio.write_dataset(str(tmp_path), images, labels, 0)
+            write_dataset(str(tmp_path), images, labels, 0)
         assert not (tmp_path / pgmio.MANIFEST_NAME).exists()
 
     @pytest.mark.parametrize(
@@ -381,7 +411,7 @@ class TestDatasetLayout:
     def test_a_false_manifest_fails_before_allocating(self, tmp_path, edit, error):
         images, labels = _tiny_dataset()
         root = str(tmp_path / "data")
-        pgmio.write_dataset(root, images, labels, master_seed=0)
+        write_dataset(root, images, labels, master_seed=0)
         path = os.path.join(root, pgmio.MANIFEST_NAME)
         with open(path) as fh:
             manifest = json.load(fh)

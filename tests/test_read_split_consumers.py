@@ -4,6 +4,7 @@ fits the baseline exactly as the same images held as one float32 array."""
 import numpy as np
 import pytest
 
+from dataset_writer import write_dataset
 from parasnet import evaluation, pgmio, synth
 from parasnet import model as pm
 from parasnet import training as tr
@@ -19,7 +20,7 @@ def splits(tmp_path_factory):
     for split, per_class in (("train", 4), ("test", 3)):
         labels = synth.split_labels(per_class)
         path = str(root / split)
-        pgmio.write_dataset(path, synth.gen_images(config, 23, split, labels), labels, 23)
+        write_dataset(path, synth.gen_images(config, 23, split, labels), labels, 23)
         stack, read_labels = pgmio.read_dataset(path)
         np.testing.assert_array_equal(read_labels, labels)
         # what read_dataset returned before it held uint8
