@@ -120,7 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads", type=_positive_int, default=None,
         help="cap BLAS worker threads; 1 makes runs bit-reproducible, and gen and "
              "batch inference then share their images with one forked child per "
-             "further usable CPU (taskset limits them) with byte-identical output",
+             "further usable CPU (taskset limits them), and training steps with one "
+             "forked helper, all with byte-identical output",
     )
 
     train_opts = argparse.ArgumentParser(add_help=False)

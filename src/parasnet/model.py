@@ -221,12 +221,14 @@ def forward_batch(
     rng: np.random.Generator | None = None,
     dropout_rate: float = DROPOUT_RATE,
     want_cache: bool = False,
+    helper: shards.Helper | None = None,
 ):
     """Run a batch through the network.
 
     Returns (probs, hidden) where probs is (B, 3) and hidden is the
     (B, 128) post-ReLU representation. With want_cache=True a third
-    element carries intermediates for backward_batch.
+    element carries intermediates for backward_batch. A helper shares
+    the conv and pool kernels' work (see batched.py).
     """
     if x.ndim != 4 or x.shape[3] != 1:
         raise ValueError(f"expected input of shape (B, h, w, 1), got {x.shape}")
@@ -234,13 +236,16 @@ def forward_batch(
     pool = batched.maxpool_forward if want_cache else batched.maxpool_infer
     conv_pre = []
     pooled = []
+    # the kernels get a helper only when there is one, so that a stand-in
+    # with their plain signature, such as a test's wrapper, still fits
+    share = {} if helper is None else {"helper": helper}
     # with one channel, x is already a channel-major map
     h = x
     for k, b in zip(model.conv_kernels, model.conv_biases):
-        a = batched.conv_forward(h, k, b)[:, : h.shape[1] - 2, : h.shape[2] - 2]
+        a = batched.conv_forward(h, k, b, **share)[:, : h.shape[1] - 2, : h.shape[2] - 2]
         # pool, then ReLU on the 4x smaller map: ReLU is monotone, so
         # both orders give exactly the same values
-        h = pool(a)
+        h = pool(a, **share)
         np.maximum(h, 0, out=h)
         if want_cache:
             conv_pre.append(a)
@@ -274,12 +279,16 @@ def forward_batch(
 
 
 def backward_batch(
-    model: ParasNetModel, cache: ForwardCache, d_probs: np.ndarray
+    model: ParasNetModel,
+    cache: ForwardCache,
+    d_probs: np.ndarray,
+    helper: shards.Helper | None = None,
 ) -> list[np.ndarray]:
     """Gradients with respect to every parameter, in parameters() order.
 
     d_probs is the loss gradient with respect to the softmax output,
-    already carrying any 1/batch scaling the loss applies.
+    already carrying any 1/batch scaling the loss applies. A helper
+    shares the conv and pool kernels' work (see batched.py).
     """
     d_logits = batched.softmax_rows_backward(cache.probs, d_probs)
     d_dropped, d_w2, d_b2 = batched.dense_backward(
@@ -294,12 +303,13 @@ def backward_batch(
         cache.flat, model.dense1_weights, d_dense1_pre
     )
     grads: list[np.ndarray] = [d_w1, d_b1, d_w2, d_b2]
+    share = {} if helper is None else {"helper": helper}
     d_pool = d_flat.reshape(cache.pooled[-1].shape)
     for i in range(4, -1, -1):
         conv_pre = cache.conv_pre[i]
         x = cache.inputs[i]
         d_conv = batched.maxpool_backward(
-            conv_pre.shape, conv_pre, cache.pooled[i], d_pool, x.shape[1:3]
+            conv_pre.shape, conv_pre, cache.pooled[i], d_pool, x.shape[1:3], **share
         )
         d_pool, d_kernels, d_bias = batched.conv_backward(
             x.shape,
@@ -307,10 +317,24 @@ def backward_batch(
             model.conv_kernels[i],
             d_conv,
             need_input_grad=(i > 0),
+            **share,
         )
         grads.insert(0, d_bias)
         grads.insert(0, d_kernels)
     return grads
+
+
+def train_step_bytes(filters: int, batch: int, height: int, width: int, itemsize: int) -> int:
+    """The bytes of the arrays that one training step at this batch size
+    and input size lends from a shards.Helper's arena: the input batch
+    and, per stage, batched.train_stage_bytes: lent in order with none
+    given back, they would fill no more than this."""
+    total = shards.aligned(batch * height * width * itemsize)
+    h, w, c_in = height, width, 1
+    for _ in range(5):
+        total += batched.train_stage_bytes(batch, h, w, c_in, filters, itemsize)
+        h, w, c_in = max(h - 2, 0) // 2, max(w - 2, 0) // 2, filters
+    return total
 
 
 def _forward_range(

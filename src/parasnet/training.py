@@ -14,6 +14,7 @@ from typing import Callable
 import numpy as np
 
 from . import model as pm
+from . import shards
 
 PROB_CLAMP = 1e-7
 # fit's step size is learning_rate * LR_DECAY**t after t updates
@@ -181,7 +182,37 @@ def _shift(img: np.ndarray, dy: int, dx: int, fill: float) -> np.ndarray:
     return out
 
 
-def augment(image: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def _draws(h: int, w: int, rng) -> list:
+    """The six values augment draws for an (h, w) image, in its order:
+    two shifts, two flip draws, the angle and the zoom."""
+    max_dy = int(round(h * MAX_SHIFT))
+    max_dx = int(round(w * MAX_SHIFT))
+    return [
+        int(rng.integers(-max_dy, max_dy + 1)),
+        int(rng.integers(-max_dx, max_dx + 1)),
+        rng.random(),
+        rng.random(),
+        float(rng.uniform(-MAX_ROTATE_DEG, MAX_ROTATE_DEG)),
+        float(rng.uniform(ZOOM_RANGE[0], ZOOM_RANGE[1])),
+    ]
+
+
+class Drawn:
+    """Stands in for the generator in augment(image, drawn): the values
+    augment draws for an (h, w) image, taken from rng now and handed back
+    in the same order, so that the transform can run later, or in another
+    process, exactly as augment(image, rng) would have run it."""
+
+    def __init__(self, h: int, w: int, rng: np.random.Generator):
+        self._values = _draws(h, w, rng)
+
+    def _next(self, *_):
+        return self._values.pop(0)
+
+    integers = random = uniform = _next
+
+
+def augment(image: np.ndarray, rng: np.random.Generator | Drawn) -> np.ndarray:
     """Random shift, flips, rotation, zoom, in that order.
 
     Resampling is nearest-neighbour and uncovered pixels take the image
@@ -200,14 +231,9 @@ def augment(image: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     if image.ndim != 3 or image.shape[2] != 1:
         raise ValueError(f"expected (h, w, 1) image, got {image.shape}")
     h, w = image.shape[:2]
-    max_dy = int(round(h * MAX_SHIFT))
-    max_dx = int(round(w * MAX_SHIFT))
-    dy = int(rng.integers(-max_dy, max_dy + 1))
-    dx = int(rng.integers(-max_dx, max_dx + 1))
-    flip_lr = rng.random() < FLIP_PROB
-    flip_ud = rng.random() < FLIP_PROB
-    angle = float(rng.uniform(-MAX_ROTATE_DEG, MAX_ROTATE_DEG))
-    zoom = float(rng.uniform(ZOOM_RANGE[0], ZOOM_RANGE[1]))
+    dy, dx, lr, ud, angle, zoom = _draws(h, w, rng)
+    flip_lr = lr < FLIP_PROB
+    flip_ud = ud < FLIP_PROB
 
     img = image[:, :, 0]
     fill = _median(img)
@@ -233,8 +259,8 @@ def augment(image: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 @dataclass
 class TrainConfig:
     epochs: int = 30
-    # small batches keep the activation working set inside cache on the
-    # single-core machines this is tuned for; larger ones train slower here
+    # the images of one Adam step; at 244x324 and F=8 a step of 8 lends
+    # about 70 MB from fit's helper arena (model.train_step_bytes)
     batch_size: int = 8
     learning_rate: float = 0.001
     seed: int = 0
@@ -278,6 +304,32 @@ def predict_labels(model: pm.ParasNetModel, images: np.ndarray) -> np.ndarray:
     return np.argmax(probs, axis=1)
 
 
+def _augment_into(images, batch: np.ndarray, drawn: list[Drawn], out: np.ndarray, items) -> None:
+    for i in items:
+        out[i] = augment(images[batch[i]], drawn[i])
+
+
+def _step(model, images, labels, batch, eye, rng, params, state, config, helper) -> float:
+    """One Adam step on images[batch]; returns its mean loss. Every draw
+    comes from rng in a fixed order: each image's augmentation, then the
+    dropout mask. The arrays the step makes die when it returns, so their
+    arena bytes are free for the next."""
+    xb = shards.empty(helper, (len(batch), *images.shape[1:]), images.dtype)
+    if config.augment:
+        drawn = [Drawn(*images.shape[1:3], rng) for _ in batch]
+        items = list(range(len(batch)))
+        shards.split(helper, _augment_into, (images, batch, drawn, xb), items, (xb,))
+    else:
+        xb[...] = images[batch]
+    probs, _, cache = pm.forward_batch(
+        model, xb, mode="train", rng=rng, want_cache=True, helper=helper
+    )
+    loss, d_probs = bce_loss_batch(probs, eye[labels[batch]])
+    grads = pm.backward_batch(model, cache, d_probs, helper)
+    adam_step(params, grads, state, lr=config.learning_rate, decay=LR_DECAY)
+    return loss
+
+
 def fit(
     model: pm.ParasNetModel,
     train_images: np.ndarray,
@@ -291,6 +343,13 @@ def fit(
 
     One seeded generator drives shuffling, augmentation and dropout, so
     a config seed fixes the whole trajectory.
+
+    Where shards.usable() finds two CPUs, one forked shards.Helper lives
+    for the call and takes half of each step's augmentation, conv and
+    pool work, and the conv kernel gradients beside this process's input
+    gradients. Each block and each sum keeps its bounds and order, so
+    the trained parameters and the history are byte-identical to a
+    one-process run.
     """
     n = len(train_images)
     if n == 0:
@@ -306,35 +365,39 @@ def fit(
     state = AdamState.for_params(params)
     eye = np.eye(pm.NUM_CLASSES, dtype=train_images.dtype)
     history: list[EpochStats] = []
-
-    for epoch in range(1, config.epochs + 1):
-        started = time.perf_counter()
-        order = rng.permutation(n)
-        loss_sum = 0.0
-        for start in range(0, n, config.batch_size):
-            batch = order[start : start + config.batch_size]
-            xb = train_images[batch]
-            if config.augment:
-                xb = np.stack([augment(img, rng) for img in xb])
-            yb = eye[train_labels[batch]]
-            probs, _, cache = pm.forward_batch(
-                model, xb, mode="train", rng=rng, want_cache=True
-            )
-            loss, d_probs = bce_loss_batch(probs, yb)
-            grads = pm.backward_batch(model, cache, d_probs)
-            adam_step(params, grads, state, lr=config.learning_rate, decay=LR_DECAY)
-            loss_sum += loss * len(batch)
-        preds = predict_labels(model, test_images)
-        accuracy = float(np.mean(preds == test_labels)) if len(test_labels) else 0.0
-        stats = EpochStats(
-            epoch=epoch,
-            train_loss=loss_sum / n,
-            test_accuracy=accuracy,
-            seconds=time.perf_counter() - started,
+    helper = None
+    if shards.usable() > 1:
+        itemsize = np.result_type(train_images.dtype, model.conv_kernels[0]).itemsize
+        arena = pm.train_step_bytes(
+            model.filters, min(config.batch_size, n), *train_images.shape[1:3], itemsize
         )
-        history.append(stats)
-        if log is not None:
-            log(stats)
+        helper = shards.Helper(arena, inherited=(train_images,))
+
+    try:
+        for epoch in range(1, config.epochs + 1):
+            started = time.perf_counter()
+            order = rng.permutation(n)
+            loss_sum = 0.0
+            with shards.apart(helper):
+                for start in range(0, n, config.batch_size):
+                    batch = order[start : start + config.batch_size]
+                    loss = _step(model, train_images, train_labels, batch, eye, rng, params,
+                                 state, config, helper)
+                    loss_sum += loss * len(batch)
+            preds = predict_labels(model, test_images)
+            accuracy = float(np.mean(preds == test_labels)) if len(test_labels) else 0.0
+            stats = EpochStats(
+                epoch=epoch,
+                train_loss=loss_sum / n,
+                test_accuracy=accuracy,
+                seconds=time.perf_counter() - started,
+            )
+            history.append(stats)
+            if log is not None:
+                log(stats)
+    finally:
+        if helper is not None:
+            helper.close()
 
     # evaluation imports this module, so its confusion counter is imported here
     from .evaluation import ConfusionMatrix

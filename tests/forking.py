@@ -16,6 +16,15 @@ import pytest
 import parasnet
 
 
+def no_children() -> bool:
+    """Whether this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
 def single_threaded() -> bool:
     return len(os.listdir("/proc/self/task")) == 1
 

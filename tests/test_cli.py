@@ -1,10 +1,11 @@
 """End-to-end runs of the command line against a micro dataset."""
 
-import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from dataset_writer import write_dataset
-from forking import needs_fork, rerun_single_threaded
+from forking import needs_fork, no_children, rerun_single_threaded
 from parasnet import cli, evaluation, pgmio, synth, tsne
 from parasnet.baseline import classify
 from parasnet.model import load_checkpoint, param_count
@@ -112,7 +113,7 @@ class TestGen:
             ("train", 0, 0), ("train", 1, 0), ("train", 2, 0), ("train", 0, 1),
             ("test", 0, 0), ("test", 1, 0), ("test", 2, 0),
         ]
-        assert multiprocessing.active_children() == []
+        assert no_children()
 
     @needs_fork
     def test_a_forked_failure_leaves_no_manifest(self, tmp_path, cpus, monkeypatch, capsys):
@@ -138,13 +139,41 @@ class TestGen:
         assert not (out / "train" / pgmio.MANIFEST_NAME).exists()
         with pytest.raises(FileNotFoundError, match="manifest"):
             pgmio.read_dataset(str(out / "train"))
-        assert multiprocessing.active_children() == []
+        assert no_children()
+
+    @needs_fork
+    def test_a_killed_child_exits_1_and_leaves_no_manifest(
+        self, tmp_path, cpus, monkeypatch, capsys
+    ):
+        out = tmp_path / "data"
+        argv = ["gen", "--out", str(out), "--seed", "3", "--train", "3", "--test", "2"]
+        cpus(2)
+        parent = os.getpid()
+        gen_sample = synth.gen_sample
+
+        def killed_in_test_split(label, index, config, seed, split):
+            if split == "test" and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return gen_sample(label, index, config, seed, split)
+
+        monkeypatch.setattr(synth, "gen_sample", killed_in_test_split)
+        capsys.readouterr()
+        began = time.monotonic()
+        assert cli.main(argv) == 1
+        assert time.monotonic() - began < 30
+        err = capsys.readouterr().err
+        assert err.startswith("error: forked child ") and "killed by SIGKILL" in err
+        # the train split was whole before the test split began
+        assert (out / "train" / pgmio.MANIFEST_NAME).exists()
+        assert not (out / "test" / pgmio.MANIFEST_NAME).exists()
+        assert no_children()
 
     def test_forked_tests_run_in_a_single_threaded_process(self):
         rerun_single_threaded(*(
             f"{__file__}::TestGen::{name}" for name in (
                 "test_forked_tree_is_byte_identical_to_the_serial_one",
                 "test_a_forked_failure_leaves_no_manifest",
+                "test_a_killed_child_exits_1_and_leaves_no_manifest",
             )
         ))
 

@@ -4,13 +4,14 @@ back to."""
 
 import multiprocessing
 import os
+import signal
 import threading
 
 import numpy as np
 import pytest
 
 from dataset_writer import write_dataset
-from forking import needs_fork, rerun_single_threaded
+from forking import needs_fork, no_children, rerun_single_threaded
 from parasnet import cli, evaluation, pgmio, shards
 from parasnet import model as pm
 from parasnet import training as tr
@@ -93,7 +94,7 @@ class TestSharding:
             assert g.tobytes() == w.tobytes()
         # this process ran the first shard alone
         assert in_parent_calls == [1] * (7 // workers)
-        assert multiprocessing.active_children() == []
+        assert no_children()
 
     @pytest.mark.parametrize("where", ["everywhere", "children"])
     def test_a_value_error_reaches_the_caller(self, cpus, monkeypatch, where):
@@ -113,7 +114,7 @@ class TestSharding:
         monkeypatch.setattr(pm, "forward_batch", forward)
         with pytest.raises(ValueError, match="does not match dense layer"):
             pm.forward_images(_model(), _stacks(5)["array"])
-        assert multiprocessing.active_children() == []
+        assert no_children()
 
     def test_eval_exits_1_with_the_serial_error_line(
         self, tmp_path, capsys, cpus
@@ -136,7 +137,7 @@ class TestSharding:
         assert sharded == serial
         assert sharded.startswith("error: ") and "does not match dense layer" in sharded
         assert not (tmp_path / "c.csv").exists()
-        assert multiprocessing.active_children() == []
+        assert no_children()
 
     def test_serial_while_a_second_thread_is_alive(self, cpus, in_parent_calls):
         cpus(2)
@@ -164,7 +165,9 @@ class TestSharding:
         pm.forward_images(_model(), _stacks(3)["array"])
         assert in_parent_calls == [1] * 3
 
-    def test_serial_inside_another_pools_worker(self, cpus):
+    def test_forks_inside_another_pools_worker(self, cpus):
+        # os.fork, unlike multiprocessing, lets a daemonic pool worker have
+        # children
         cpus(2)
         images = _stacks(7)["array"]
         with multiprocessing.get_context("fork").Pool(1) as pool:
@@ -174,14 +177,28 @@ class TestSharding:
         for g, w in zip(got, _serial(_model(), images)):
             assert g.tobytes() == w.tobytes()
 
+    def test_a_killed_child_raises_and_leaves_no_child(self, cpus, monkeypatch):
+        cpus(2)
+        parent = os.getpid()
+        forward_batch = pm.forward_batch
+
+        def die_in_child(*args, **kwargs):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return forward_batch(*args, **kwargs)
+
+        monkeypatch.setattr(pm, "forward_batch", die_in_child)
+        with pytest.raises(ChildProcessError, match="killed by SIGKILL"):
+            pm.forward_images(_model(), _stacks(7)["stack"])
+        assert no_children()
+
     def test_workers_are_capped_by_the_images(self, cpus):
         cpus(8)
         assert [shards.count(n) for n in (5, 6, 9, 16, 17)] == [2, 3, 4, 8, 8]
 
 
 def _forward_in_worker(images):
-    # a pool worker is daemonic, so forward_images must not fork from it
-    assert shards.count(len(images)) == 1
+    assert shards.count(len(images)) == 2
     return pm.forward_images(_model(), images)
 
 
