@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .. import NUM_CLASSES, OTHERS, container
+from .. import NUM_CLASSES, OTHERS, container, shards
 from . import bow, filters
 from .sift import DESCRIPTOR_SIZE, detect_and_describe
 
@@ -199,22 +199,33 @@ def predict_proba_hist(
     return np.exp(mixed)
 
 
-def describe(image: np.ndarray) -> np.ndarray:
-    """The (K, 128) keypoint descriptors of a raw image."""
-    _, descriptors = detect_and_describe(filters.preprocess(image))
+def describe(image: np.ndarray, buffers: dict | None = None) -> np.ndarray:
+    """The (K, 128) keypoint descriptors of a raw image, as a fresh array;
+    the blur, pyramid and extrema arrays are drawn from buffers (see
+    filters.scratch)."""
+    _, descriptors = detect_and_describe(filters.preprocess(image, buffers), buffers)
     return descriptors
 
 
 class SiftBowClassifier:
-    """Full image-to-label pipeline around a trained BaselineModel."""
+    """Full image-to-label pipeline around a trained BaselineModel.
+
+    It keeps one set of buffers for the SIFT pass (about 20 MB at
+    244x324), reused by every image of that size, so predict_one takes
+    no fresh pages once warm and its speed does not depend on what the
+    heap holds. So one classifier must not run two predictions at once,
+    from two threads say. predict_batch spreads its images over forked
+    children (shards.map_ranges), each with its own copy.
+    """
 
     def __init__(self, model: BaselineModel, gap_threshold: float = GAP_THRESHOLD):
         self.model = model
         self.gap_threshold = gap_threshold
+        self._buffers: dict = {}
 
     def histogram(self, image: np.ndarray) -> tuple[np.ndarray, int]:
         """BoW histogram and the number of keypoints behind it."""
-        descriptors = describe(image)
+        descriptors = describe(image, self._buffers)
         return bow.bow_histogram(descriptors, self.model.vocabulary), len(descriptors)
 
     def predict_proba_one(self, image: np.ndarray) -> np.ndarray:
@@ -228,8 +239,30 @@ class SiftBowClassifier:
     def predict_one(self, image: np.ndarray) -> int:
         return int(np.argmax(self.predict_proba_one(image)))
 
+    def _predict_range(self, images, start: int, stop: int) -> np.ndarray:
+        return np.array([self.predict_one(images[i]) for i in range(start, stop)],
+                        dtype=np.int64)
+
     def predict_batch(self, images: np.ndarray) -> np.ndarray:
-        return np.array([self.predict_one(img) for img in images], dtype=np.int64)
+        """The labels of a stack of images, split into contiguous ranges
+        over the usable CPUs; each image's label depends on it alone."""
+        return np.concatenate(shards.map_ranges(self._predict_range, (images,), len(images)))
+
+
+def _describe_range(images, log, start: int, stop: int) -> list[np.ndarray]:
+    """The descriptors of images[start:stop], over one set of buffers.
+    Only the range that starts at 0, which map_ranges runs in the calling
+    process, logs its progress: a forked child leaves through os._exit,
+    which drops what it printed to a pipe."""
+    buffers: dict = {}
+    rest = len(images) - stop
+    out = []
+    for i in range(start, stop):
+        out.append(describe(images[i], buffers))
+        if log is not None and start == 0 and (i + 1) % 100 == 0:
+            log(f"described {i + 1}/{stop} images"
+                + (f", {rest} more in forked children" if rest else ""))
+    return out
 
 
 @dataclass
@@ -253,15 +286,11 @@ def train_baseline(
     if len(np.unique(labels)) < 2:
         raise ValueError("training needs at least 2 classes")
 
-    per_image = []
-    pool = []
-    for i, image in enumerate(images):
-        descriptors = describe(image)
-        per_image.append(descriptors)
-        if len(descriptors):
-            pool.append(descriptors)
-        if log is not None and (i + 1) % 100 == 0:
-            log(f"described {i + 1}/{len(images)} images")
+    per_image = [
+        d for part in shards.map_ranges(_describe_range, (images, log), len(images))
+        for d in part
+    ]
+    pool = [d for d in per_image if len(d)]
     if not pool:
         raise ValueError("no keypoints found anywhere in the training set")
 

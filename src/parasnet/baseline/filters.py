@@ -1,4 +1,13 @@
-"""Gaussian smoothing and contrast normalization for the feature pipeline."""
+"""Gaussian smoothing and contrast normalization for the feature pipeline.
+
+The functions that take buffers draw their large arrays from it: a dict
+that maps a name, shape and dtype to an array, made on first use and
+reused by every later call (see scratch). A caller that describes many
+images keeps one dict, so the pages behind those arrays are faulted in
+once rather than once per image. An array drawn from buffers is
+overwritten by the next call that draws it, so one dict must not serve
+two calls at once. Without buffers every array is fresh.
+"""
 
 from __future__ import annotations
 
@@ -12,6 +21,21 @@ import numpy as np
 # took 4.2, 4.0, 5.6 and 7.5 ms at 16, 32, 48 and 64 (2-core Xeon, one
 # BLAS thread).
 _BLOCK = 32
+
+
+def scratch(buffers: dict | None, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+    """An uninitialised array of shape, a tuple, and dtype: buffers' array
+    for (name, shape, dtype), made on first use, or a fresh one without
+    buffers. The lookup costs about as much as np.empty: slicing one
+    larger array per name instead made predict_one about 5% slower on a
+    2-core Xeon."""
+    if buffers is None:
+        return np.empty(shape, dtype)
+    key = (name, shape, dtype)
+    out = buffers.get(key)
+    if out is None:
+        out = buffers[key] = np.empty(shape, dtype)
+    return out
 
 
 def gaussian_kernel1d(sigma: float) -> np.ndarray:
@@ -38,19 +62,22 @@ def _band(sigma: float) -> np.ndarray:
     return band
 
 
-def gaussian_blur_into(image: np.ndarray, sigma: float, out: np.ndarray) -> None:
+def gaussian_blur_into(
+    image: np.ndarray, sigma: float, out: np.ndarray, buffers: dict | None = None
+) -> None:
     """Write gaussian_blur(image, sigma) into out, a float64 array of
-    the image's shape that does not overlap it."""
+    the image's shape that does not overlap it. Its two padded
+    temporaries come from buffers."""
     band = _band(float(sigma))
     radius = (band.shape[0] - _BLOCK) // 2
     h, w = image.shape
     # the edge-replicated copy is also the image's one conversion to float64
-    padded = np.empty((h + 2 * radius, w))
+    padded = scratch(buffers, "blur.padded", (h + 2 * radius, w))
     padded[radius : radius + h] = image
     padded[:radius] = padded[radius]
     padded[radius + h :] = padded[radius + h - 1]
     # the vertical pass writes between the horizontal pass's pad columns
-    mid = np.empty((h, w + 2 * radius))
+    mid = scratch(buffers, "blur.mid", (h, w + 2 * radius))
     for a in range(0, h, _BLOCK):
         n = min(_BLOCK, h - a)
         np.matmul(band[: n + 2 * radius, :n].T, padded[a : a + n + 2 * radius],
@@ -70,11 +97,27 @@ def gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
     kernel (see _band). They sum in another order than a tap-by-tap
     correlation, so the two agree to within a few ulps, not bit for bit.
     """
-    if image.ndim != 2 or 0 in image.shape:
-        raise ValueError(f"expected a non-empty 2-d image, got shape {image.shape}")
+    _check_image(image)
     out = np.empty(image.shape)
     gaussian_blur_into(image, sigma, out)
     return out
+
+
+def _check_image(image: np.ndarray) -> None:
+    if image.ndim != 2 or 0 in image.shape:
+        raise ValueError(f"expected a non-empty 2-d image, got shape {image.shape}")
+
+
+def _stretch_into(image: np.ndarray) -> np.ndarray:
+    """contrast_stretch of a float64 image, in place."""
+    lo = float(image.min())
+    hi = float(image.max())
+    if hi - lo < 1e-12:
+        image[...] = 0.5
+        return image
+    image -= lo
+    image /= hi - lo
+    return image
 
 
 def contrast_stretch(image: np.ndarray) -> np.ndarray:
@@ -82,15 +125,15 @@ def contrast_stretch(image: np.ndarray) -> np.ndarray:
 
     A flat image has no range to stretch and lands on mid-grey.
     """
-    lo = float(image.min())
-    hi = float(image.max())
-    if hi - lo < 1e-12:
-        return np.full_like(image, 0.5, dtype=np.float64)
-    return (image.astype(np.float64) - lo) / (hi - lo)
+    return _stretch_into(image.astype(np.float64))
 
 
-def preprocess(image: np.ndarray) -> np.ndarray:
-    """De-noise then stretch: the fixed front end of the pipeline."""
+def preprocess(image: np.ndarray, buffers: dict | None = None) -> np.ndarray:
+    """De-noise then stretch: the fixed front end of the pipeline. The
+    result is drawn from buffers."""
     if image.ndim == 3 and image.shape[2] == 1:
         image = image[:, :, 0]
-    return contrast_stretch(gaussian_blur(image, 1.0))
+    _check_image(image)
+    out = scratch(buffers, "preprocessed", image.shape)
+    gaussian_blur_into(image, 1.0, out, buffers)
+    return _stretch_into(out)

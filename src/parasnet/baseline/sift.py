@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filters import gaussian_blur_into
+from .filters import gaussian_blur_into, scratch
 
 DESCRIPTOR_SIZE = 128
 _SPATIAL_BINS = 4
@@ -73,8 +73,9 @@ class Keypoint:
     response: float
 
 
-def build_pyramid(image: np.ndarray) -> list[np.ndarray]:
-    """Gaussian octaves; each is (levels, h, w) with levels = scales + 3."""
+def build_pyramid(image: np.ndarray, buffers: dict | None = None) -> list[np.ndarray]:
+    """Gaussian octaves; each is (levels, h, w) with levels = scales + 3,
+    drawn from buffers (see filters.scratch)."""
     if image.ndim != 2:
         raise ValueError(f"expected a 2-d image, got shape {image.shape}")
     n_levels = len(_SIGMA_REL)
@@ -83,25 +84,28 @@ def build_pyramid(image: np.ndarray) -> list[np.ndarray]:
     shape = image.shape
     while min(shape) >= MIN_OCTAVE_SIDE and len(octaves) < MAX_OCTAVES:
         # each level is blurred straight into its slot of the octave
-        octave = np.empty((n_levels, *shape))
+        octave = scratch(buffers, "octave", (n_levels, *shape))
         if octaves:
             # the level at twice the base blur seeds the next octave
             octave[0] = octaves[-1][SCALES_PER_OCTAVE, ::2, ::2]
         else:
-            gaussian_blur_into(image, first_blur, octave[0])
+            gaussian_blur_into(image, first_blur, octave[0], buffers)
         for s in range(1, n_levels):
             diff = np.sqrt(_SIGMA_REL[s] ** 2 - _SIGMA_REL[s - 1] ** 2)
-            gaussian_blur_into(octave[s - 1], diff, octave[s])
+            gaussian_blur_into(octave[s - 1], diff, octave[s], buffers)
         octaves.append(octave)
         shape = octave[SCALES_PER_OCTAVE, ::2, ::2].shape
     return octaves
 
 
-def dog_stack(octave_levels: np.ndarray) -> np.ndarray:
-    return octave_levels[1:] - octave_levels[:-1]
+def dog_stack(octave_levels: np.ndarray, buffers: dict | None = None) -> np.ndarray:
+    out = scratch(buffers, "dog", (len(octave_levels) - 1, *octave_levels.shape[1:]))
+    return np.subtract(octave_levels[1:], octave_levels[:-1], out=out)
 
 
-def _find_extrema(dog: np.ndarray) -> list[tuple[int, int, int, float]]:
+def _find_extrema(
+    dog: np.ndarray, buffers: dict | None = None
+) -> list[tuple[int, int, int, float]]:
     """(level, y, x, value) of 26-neighbour strict extrema passing both tests.
 
     The cheap contrast test |D| >= CONTRAST_THRESH runs first, as in
@@ -117,7 +121,10 @@ def _find_extrema(dog: np.ndarray) -> list[tuple[int, int, int, float]]:
     plane = height * width
     flat = dog.reshape(-1)
     inner = dog[1:-1]
-    mask = (inner >= CONTRAST_THRESH) | (inner <= -CONTRAST_THRESH)
+    mask = np.greater_equal(inner, CONTRAST_THRESH,
+                            out=scratch(buffers, "extrema.mask", inner.shape, bool))
+    mask |= np.less_equal(inner, -CONTRAST_THRESH,
+                          out=scratch(buffers, "extrema.low", inner.shape, bool))
     mask[:, [0, -1], :] = False
     mask[:, :, [0, -1]] = False
     idx = np.flatnonzero(mask) + plane
@@ -247,17 +254,21 @@ def _normalise(desc: np.ndarray) -> None:
         desc /= norm
 
 
-def detect_and_describe(image: np.ndarray) -> tuple[list[Keypoint], np.ndarray]:
-    """Keypoints in base-image coordinates plus their (K, 128) descriptors."""
+def detect_and_describe(
+    image: np.ndarray, buffers: dict | None = None
+) -> tuple[list[Keypoint], np.ndarray]:
+    """Keypoints in base-image coordinates plus their (K, 128) descriptors.
+    The pyramid, its DoG stacks and the extrema masks are drawn from
+    buffers; the results are fresh arrays."""
     if min(image.shape[:2]) < 32:
         raise ValueError(
             f"image too small for keypoint detection: {image.shape[1]}x{image.shape[0]}"
         )
-    octaves = build_pyramid(image)
+    octaves = build_pyramid(image, buffers)
 
     candidates = []
     for oct_idx, levels in enumerate(octaves):
-        for lev, y, x, value in _find_extrema(dog_stack(levels)):
+        for lev, y, x, value in _find_extrema(dog_stack(levels, buffers), buffers):
             candidates.append((oct_idx, lev, y, x, value))
     # strongest responses first, capped to keep descriptor cost bounded
     candidates.sort(key=lambda c: -abs(c[4]))

@@ -118,10 +118,11 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--threads", type=_positive_int, default=None,
-        help="cap BLAS worker threads; 1 makes runs bit-reproducible, and gen and "
-             "batch inference then share their images with one forked child per "
-             "further usable CPU (taskset limits them), and training steps with one "
-             "forked helper, all with byte-identical output",
+        help="cap BLAS worker threads; 1 makes runs bit-reproducible, and gen, "
+             "batch inference, baseline-train's SIFT pass and baseline-eval (and "
+             "in-memory generation in the library) then share their images with "
+             "one forked child per further usable CPU (taskset limits them), and "
+             "training steps with one forked helper, all with byte-identical output",
     )
 
     train_opts = argparse.ArgumentParser(add_help=False)
@@ -233,13 +234,12 @@ def _echo(args: argparse.Namespace) -> None:
 
 
 def _gen_range(root: str, config, seed: int, split: str, start: int, stop: int) -> None:
-    """Writes images start..stop-1 of a split, image k being sample
-    k // NUM_CLASSES of class k % NUM_CLASSES: interleaved, the classes
-    share every range alike, and so do their unequal render times."""
-    from . import NUM_CLASSES, pgmio, synth
+    """Writes images start..stop-1 of a split in generation order
+    (synth.sample_at)."""
+    from . import pgmio, synth
 
     for k in range(start, stop):
-        label, index = k % NUM_CLASSES, k // NUM_CLASSES
+        label, index = synth.sample_at(k)
         image = synth.gen_sample(label, index, config, seed, split)
         pgmio.write_pgm(pgmio.image_path(root, label, index), image)
 

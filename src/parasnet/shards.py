@@ -16,10 +16,16 @@ Two users build on it:
 - map_ranges runs fn(*args, start, stop) over ranges that cover 0..n-1
   in order and returns the results in that order. The calling process
   runs the first range itself while one child runs each of the others,
-  so two usable CPUs fork one child. Batch inference
-  (model.forward_images) and `parasnet gen` split their images this
-  way; each image's work depends only on its index, so the results are
-  the same however the ranges fall.
+  so two usable CPUs fork one child. Five passes split their images
+  this way: batch inference (model.forward_images), `parasnet gen`,
+  in-memory generation (synth.gen_dataset), and the baseline's SIFT
+  passes in training (classify.train_baseline) and in batch prediction
+  (SiftBowClassifier.predict_batch). Each image's work depends only on
+  its index, so the results are the same however the ranges fall. gen
+  and gen_dataset walk a split in one order, synth.sample_at, so that
+  every range holds every class alike; gen_dataset's children write
+  their images straight into one array over a shared mapping made
+  before the fork (shared_empty), and send back nothing.
 - A Helper is one child that lives as long as a with block and runs
   calls for the parent over arrays in an anonymous shared mapping (the
   arena) made before the fork; split and beside hand it part of a
@@ -254,6 +260,17 @@ def map_ranges(fn: Callable, args: tuple, n: int) -> list:
         for child in children:
             child.close()
     return results
+
+
+def shared_empty(shape, dtype) -> np.ndarray:
+    """An uninitialised array over its own anonymous MAP_SHARED mapping:
+    made before a fork, it takes every write a forked child makes to it,
+    so a child can fill its range of the array in place. The mapping is
+    unmapped once the array and its views are gone."""
+    dtype = np.dtype(dtype)
+    size = int(np.prod(shape))
+    mapping = mmap.mmap(-1, max(size * dtype.itemsize, 1))
+    return np.frombuffer(mapping, dtype, size).reshape(shape)
 
 
 def aligned(nbytes: int) -> int:

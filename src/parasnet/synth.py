@@ -16,7 +16,12 @@ must hold the largest crypto object.
 
 Every sample is generated from its own seed sequence derived from
 (master seed, split, class, index), so any image can be regenerated in
-isolation and generation order does not matter.
+isolation and generation order does not matter to the bytes. Still,
+gen_dataset and `parasnet gen` walk a split in one order, sample_at,
+which interleaves the classes, and spread it over the usable CPUs
+(shards.map_ranges). gen_dataset holds the split as one float32 array
+over a shared mapping, into which this process and each forked child
+render their own images in place.
 
 A sample draws all its parameters first, in a fixed order. The frame is
 then rendered STRIP_ROWS rows at a time, with in-place operations where
@@ -45,11 +50,11 @@ same order as the whole-frame reference renderers in tests/synth_ref.py.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
-from . import CRYPTO, GIARDIA, INPUT_HEIGHT, INPUT_WIDTH, NUM_CLASSES, OTHERS
+from . import CRYPTO, GIARDIA, INPUT_HEIGHT, INPUT_WIDTH, NUM_CLASSES, OTHERS, shards
 
 SPLIT_CODES = {"train": 0, "test": 1}
 
@@ -312,15 +317,17 @@ def sample_rng(master_seed: int, split: str, label: int, index: int) -> np.rando
 
 
 def gen_sample(
-    label: int, index: int, config: GenConfig, master_seed: int, split: str
+    label: int, index: int, config: GenConfig, master_seed: int, split: str,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """One (height, width, 1) float32 image with values in [0, 1]."""
+    """One (height, width, 1) float32 image with values in [0, 1],
+    written into out when it is given."""
     if label not in _RENDERERS:
         raise ValueError(f"label must be 0, 1 or 2, got {label}")
     rng = sample_rng(master_seed, split, label, index)
     background = _uniform(rng, BACKGROUND)
     paint = _RENDERERS[label](rng, config)
-    img = np.empty((config.height, config.width, 1), np.float32)
+    img = np.empty((config.height, config.width, 1), np.float32) if out is None else out
     for start in range(0, config.height, STRIP_ROWS):
         rows = slice(start, min(start + STRIP_ROWS, config.height))
         strip = paint(rows)
@@ -331,29 +338,43 @@ def gen_sample(
     return img
 
 
-def split_labels(per_class: int) -> np.ndarray:
-    """The labels of a split with per_class images of each class,
-    grouped by class in label order."""
-    if per_class < 1:
-        raise ValueError(f"no samples requested (per_class={per_class})")
-    return np.repeat(np.arange(NUM_CLASSES, dtype=np.int64), per_class)
+def sample_at(k: int) -> tuple[int, int]:
+    """The (label, index) of image k of a split in generation order:
+    sample k // NUM_CLASSES of class k % NUM_CLASSES. Interleaved, the
+    classes share every range of a split alike, and so do their unequal
+    render times; grouped by class, the first range would hold all of
+    `others`, the slowest class to render."""
+    return k % NUM_CLASSES, k // NUM_CLASSES
 
 
-def gen_images(
-    config: GenConfig, master_seed: int, split: str, labels: np.ndarray
-) -> Iterator[np.ndarray]:
-    """The sample of each label in turn, indexed within its class, one
-    image at a time."""
-    seen = [0] * NUM_CLASSES
-    for label in labels.tolist():
-        yield gen_sample(label, seen[label], config, master_seed, split)
-        seen[label] += 1
+def _render_range(
+    images: np.ndarray, config: GenConfig, master_seed: int, split: str,
+    start: int, stop: int,
+) -> None:
+    """Renders images start..stop-1 in generation order, each into its
+    row of the class-grouped images."""
+    per_class = len(images) // NUM_CLASSES
+    for k in range(start, stop):
+        label, index = sample_at(k)
+        gen_sample(label, index, config, master_seed, split,
+                   out=images[label * per_class + index])
 
 
 def gen_dataset(
     config: GenConfig, master_seed: int, split: str, per_class: int
 ) -> Dataset:
-    """All samples for one split, grouped by class in label order."""
-    labels = split_labels(per_class)
-    images = list(gen_images(config, master_seed, split, labels))
-    return Dataset(images=np.stack(images), labels=labels)
+    """All samples for one split, grouped by class in label order.
+
+    The images are one array over a shared mapping (shards.shared_empty),
+    rendered in generation order (sample_at) over shards.map_ranges: this
+    process renders the first range and each forked child renders its
+    own range in place, so nothing is copied back. Each image comes from
+    its own seed, so the array is the same however the ranges fall.
+    """
+    if per_class < 1:
+        raise ValueError(f"no samples requested (per_class={per_class})")
+    n = NUM_CLASSES * per_class
+    images = shards.shared_empty((n, config.height, config.width, 1), np.float32)
+    shards.map_ranges(_render_range, (images, config, master_seed, split), n)
+    labels = np.repeat(np.arange(NUM_CLASSES, dtype=np.int64), per_class)
+    return Dataset(images=images, labels=labels)

@@ -42,7 +42,9 @@ def preprocess(image: np.ndarray) -> np.ndarray:
     return filters.contrast_stretch(gaussian_blur(image, 1.0))
 
 
-def build_pyramid(image: np.ndarray) -> list[np.ndarray]:
+def build_pyramid(image: np.ndarray, buffers: dict | None = None) -> list[np.ndarray]:
+    """Separately blurred levels, stacked; buffers, which the package's
+    build_pyramid draws its octaves from, is ignored."""
     n_levels = sift.SCALES_PER_OCTAVE + 3
     step = 2.0 ** (1.0 / sift.SCALES_PER_OCTAVE)
     sigmas = [sift.SIGMA0 * step**s for s in range(n_levels)]

@@ -18,9 +18,10 @@ def splits(tmp_path_factory):
     config = synth.GenConfig()
     found = {}
     for split, per_class in (("train", 4), ("test", 3)):
-        labels = synth.split_labels(per_class)
+        data = synth.gen_dataset(config, 23, split, per_class)
+        labels = data.labels
         path = str(root / split)
-        write_dataset(path, synth.gen_images(config, 23, split, labels), labels, 23)
+        write_dataset(path, data.images, labels, 23)
         stack, read_labels = pgmio.read_dataset(path)
         np.testing.assert_array_equal(read_labels, labels)
         # what read_dataset returned before it held uint8

@@ -1,13 +1,16 @@
 """Generator determinism, morphology statistics, and separability checks."""
 
 import hashlib
+import os
+import signal
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from parasnet import INPUT_HEIGHT, INPUT_WIDTH, synth
+from forking import needs_fork, no_children, rerun_single_threaded
+from parasnet import INPUT_HEIGHT, INPUT_WIDTH, NUM_CLASSES, shards, synth
 
 import synth_ref
 
@@ -303,3 +306,96 @@ class TestGenDataset:
     def test_empty_request_rejected(self):
         with pytest.raises(ValueError, match="no samples"):
             synth.gen_dataset(synth.GenConfig(), 0, "train", 0)
+
+    def test_generation_order_interleaves_the_classes(self):
+        assert [synth.sample_at(k) for k in range(7)] == [
+            (0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1), (0, 2)
+        ]
+
+    def test_images_share_one_mapping(self):
+        ds = synth.gen_dataset(synth.GenConfig(), 2, "test", 1)
+        assert ds.images.flags.c_contiguous and ds.images.flags.writeable
+        assert ds.images.dtype == np.float32 and ds.labels.dtype == np.int64
+
+
+def _serial_split(seed, split, per_class):
+    """The class-grouped split, one gen_sample call per image, as the oracle."""
+    cfg = synth.GenConfig()
+    return np.stack([
+        synth.gen_sample(label, index, cfg, seed, split)
+        for label in range(NUM_CLASSES) for index in range(per_class)
+    ])
+
+
+@pytest.fixture
+def in_parent_samples(monkeypatch):
+    """The (label, index) of each gen_sample call made in the test's own
+    process."""
+    parent = os.getpid()
+    gen_sample = synth.gen_sample
+    calls = []
+
+    def recorded(label, index, *args, **kwargs):
+        if os.getpid() == parent:
+            calls.append((label, index))
+        return gen_sample(label, index, *args, **kwargs)
+
+    monkeypatch.setattr(synth, "gen_sample", recorded)
+    return calls
+
+
+@needs_fork
+class TestGenDatasetForked:
+    @pytest.mark.parametrize("per_class, usable, minimum, ranges", [
+        # one image a class, one image a range
+        (1, 3, 1, 3),
+        # too short to fork: 3 images make one range of at least 2
+        (1, 2, 2, 1),
+        # ranges [0, 4) and [4, 9) cut every class
+        (3, 2, 2, 2),
+        (5, 3, 2, 3),
+    ])
+    def test_byte_identical_to_the_serial_split(
+        self, cpus, monkeypatch, in_parent_samples, per_class, usable, minimum, ranges
+    ):
+        want = _serial_split(4, "train", per_class)
+        in_parent_samples.clear()
+        cpus(usable)
+        monkeypatch.setattr(shards, "MIN_IMAGES_PER_SHARD", minimum)
+        n = NUM_CLASSES * per_class
+        assert shards.count(n) == ranges
+        ds = synth.gen_dataset(synth.GenConfig(), 4, "train", per_class)
+        assert ds.images.shape == want.shape and ds.images.tobytes() == want.tobytes()
+        assert ds.labels.tolist() == np.repeat(np.arange(NUM_CLASSES), per_class).tolist()
+        # this process rendered the first range, in generation order
+        assert in_parent_samples == [synth.sample_at(k) for k in range(n // ranges)]
+        assert no_children()
+
+    def test_one_cpu_gives_the_two_cpu_bytes(self, cpus):
+        found = []
+        for usable in (1, 2):
+            cpus(usable)
+            ds = synth.gen_dataset(synth.GenConfig(), 6, "test", 4)
+            found.append(ds.images.tobytes() + ds.labels.tobytes())
+        assert found[0] == found[1]
+
+    def test_a_killed_child_raises_and_leaves_no_child(self, cpus, monkeypatch):
+        cpus(2)
+        parent = os.getpid()
+        gen_sample = synth.gen_sample
+
+        def die_in_child(*args, **kwargs):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return gen_sample(*args, **kwargs)
+
+        monkeypatch.setattr(synth, "gen_sample", die_in_child)
+        began = time.monotonic()
+        with pytest.raises(ChildProcessError, match="killed by SIGKILL"):
+            synth.gen_dataset(synth.GenConfig(), 4, "test", 2)
+        assert time.monotonic() - began < 30
+        assert no_children()
+
+
+def test_forked_gen_dataset_runs_in_a_single_threaded_process():
+    rerun_single_threaded(f"{__file__}::TestGenDatasetForked")
