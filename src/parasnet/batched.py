@@ -40,6 +40,19 @@ winners: maxpool_backward recomputes them from the conv output and the
 pooled map, trading a few comparisons for the stored index map. Each
 pooling pass runs along image rows, w/2 elements at a time.
 
+Inference runs stages 1 and 2 as one fused kernel, conv_pool_relu. It
+splits each image of the stage input into its four 2x2 polyphase
+components (space-to-depth: phase 2p + q holds pixels (2i + p, 2j + q)
+at (i, j)), each a (c, hp*wp) matrix on a half-size grid of hp x wp =
+ceil(h/2) x ceil(w/2), zero-padded. The conv output at (2i + di,
+2j + dj), one of the four cells of pool window (i, j), is then a sum of
+nine tap products on column slices of the phase matrices, as in
+conv_forward but at (i, j) of the half-size grid. Block by block, the
+kernel sums each output phase in conv_forward's tap order, keeps the max
+of the four, adds the bias and rectifies: no full-size conv output is
+written, and no pooling pass reads one through stride-2 views. Training
+keeps the layered kernels, whose outputs backward needs.
+
 Every kernel allocates its outputs fresh and keeps no state between
 calls, so callers in different threads share no buffers.
 
@@ -108,13 +121,28 @@ def _shifts(w: int) -> list[int]:
     return [ki * w + kj for ki in range(3) for kj in range(3)]
 
 
-def _windows(x_row: np.ndarray, shifts: list[int], a: int, e: int) -> np.ndarray:
+def _windows(reads: list[tuple[np.ndarray, int]], a: int, e: int) -> np.ndarray:
     """The tap-major (9, e-a) window matrix of output columns a..e of a
-    one-channel map."""
-    windows = np.empty((9, e - a), x_row.dtype)
-    for t, s in enumerate(shifts):
-        windows[t] = x_row[s + a:s + e]
+    one-channel map, where tap t reads the (1, columns) matrix reads[t][0]
+    shifted by reads[t][1] columns."""
+    windows = np.empty((9, e - a), reads[0][0].dtype)
+    for t, (m, s) in enumerate(reads):
+        windows[t] = m[0, s + a:s + e]
     return windows
+
+
+def _tap_sum(taps, reads, a, e, out) -> None:
+    """The nine tap products of output columns a..e, summed in tap order
+    into out; tap t reads the matrix reads[t][0] shifted by reads[t][1]
+    columns."""
+    if taps.shape[1] == 1:
+        np.matmul(taps[:, 0].T, _windows(reads, a, e), out=out)
+        return
+    m, s = reads[0]
+    np.matmul(taps[0].T, m[:, s + a:s + e], out=out)
+    for t in range(1, 9):
+        m, s = reads[t]
+        out += taps[t].T @ m[:, s + a:s + e]
 
 
 def train_stage_bytes(b: int, h: int, w: int, c_in: int, c_out: int, itemsize: int) -> int:
@@ -132,14 +160,10 @@ def train_stage_bytes(b: int, h: int, w: int, c_in: int, c_out: int, itemsize: i
 
 def _conv_blocks(xm, taps, bias, om, shifts, blocks) -> None:
     """conv_forward's output columns, block by block."""
+    reads = [(xm, s) for s in shifts]
     for a, e in blocks:
         block = om[:, a:e]
-        if taps.shape[1] == 1:
-            np.matmul(taps[:, 0].T, _windows(xm[0], shifts, a, e), out=block)
-        else:
-            np.matmul(taps[0].T, xm[:, a:e], out=block)
-            for t in range(1, 9):
-                block += taps[t].T @ xm[:, shifts[t] + a:shifts[t] + e]
+        _tap_sum(taps, reads, a, e, block)
         block += bias[:, None]
 
 
@@ -166,7 +190,7 @@ def _tap_grads(xm, up, shifts, a, e) -> np.ndarray:
     """The d_kernels term of output columns a..e, in taps' (9, c_in, c_out) shape."""
     u = up[:, a:e]
     if xm.shape[0] == 1:
-        return (_windows(xm[0], shifts, a, e) @ u.T)[:, None]
+        return (_windows([(xm, s) for s in shifts], a, e) @ u.T)[:, None]
     return np.stack([xm[:, s + a:s + e] @ u.T for s in shifts])
 
 
@@ -266,6 +290,84 @@ def maxpool_forward(x: np.ndarray, helper: shards.Helper | None = None) -> np.nd
 # benchmark's tracer wraps each name separately, so train and inference
 # pooling still get their own spans
 maxpool_infer = maxpool_forward
+
+
+# the output columns of one conv_pool_relu block: at F = 8, its phase sum
+# and its running max take 256 KB each. Nine K = 8 tap products and their
+# sums ran at 17 ns a column in blocks of 8,192, against 21 at 4,096 and
+# 36 at 16,384 (one BLAS thread, 2-core Xeon)
+_STAGE_COLUMNS = 1 << 13
+
+
+def _phases(image: np.ndarray, out: np.ndarray) -> None:
+    """The 2x2 polyphase components of an (h, w, c) image, into out, of
+    shape (4, c, hp, wp): phase 2p + q holds image[p::2, q::2],
+    zero-padded at the bottom and right."""
+    planes = image.transpose(2, 0, 1)
+    for p in range(2):
+        for q in range(2):
+            part = planes[:, p::2, q::2]
+            dst = out[2 * p + q]
+            dst[:, :part.shape[1], :part.shape[2]] = part
+            dst[:, part.shape[1]:] = 0
+            dst[:, :, part.shape[2]:] = 0
+
+
+def conv_pool_relu(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """relu(maxpool_infer(conv_forward(x, kernels, bias)'s valid region)),
+    for inference, as one fresh channel-major (batch, (h-2)//2, (w-2)//2,
+    filters) map.
+
+    It runs one image at a time, so an image's values do not depend on
+    the batch around it, and the working set is one image's: over a whole
+    batch of 8 it held 13 MB at once, and perfbench's train workload,
+    whose test pass runs it, peaked 6.5 MB higher, at the same speed.
+
+    Tap (ki, kj) of output phase (di, dj) reads input phase
+    ((di + ki) % 2, (dj + kj) % 2) at row and column offsets (di + ki) // 2
+    and (dj + kj) // 2, a shift of its matrix's columns. Rounding is
+    monotone, so max(u) + b equals max(u + b) bit for bit, and each value
+    equals the layered kernels' wherever a GEMM's elements do not depend
+    on their column: with OpenBLAS's SkylakeX kernel, not its Haswell one.
+    """
+    b, h, w, c_in = x.shape
+    taps = kernels.reshape(9, c_in, -1)
+    f = taps.shape[2]
+    hp, wp = -(-h // 2), -(-w // 2)
+    cols = hp * wp
+    # output columns from n on would read past the phase matrices' end;
+    # they lie outside the valid region
+    n = cols - wp - 1
+    s = min(_STAGE_COLUMNS, n)
+    # one allocation for an image's grid of maxima, phase sum and phases:
+    # at B = 1 the largest of a forward, it lifts glibc's dynamic mmap
+    # threshold above the rest, whose heap then stays mapped between
+    # calls; in three separate arrays, a fresh process's B = 1 forward
+    # took about 380 page faults a call
+    work = np.empty(f * (cols + s) + 4 * c_in * cols, np.result_type(x, kernels))
+    grid = work[:f * cols].reshape(f, cols)
+    phase_sum = work[f * cols:f * (cols + s)].reshape(f, s)
+    phases = work[f * (cols + s):].reshape(4, c_in, cols)
+    reads = [
+        [(phases[(di + ki) % 2 * 2 + (dj + kj) % 2], (di + ki) // 2 * wp + (dj + kj) // 2)
+         for ki in range(3) for kj in range(3)]
+        for di in range(2) for dj in range(2)
+    ]
+    grid[:, n:] = 0
+    out = np.empty((f, b, (h - 2) // 2, (w - 2) // 2), grid.dtype)
+    for i in range(b):
+        _phases(x[i], phases.reshape(4, c_in, hp, wp))
+        for a in range(0, n, _STAGE_COLUMNS):
+            e = min(a + _STAGE_COLUMNS, n)
+            block, other = grid[:, a:e], phase_sum[:, :e - a]
+            _tap_sum(taps, reads[0], a, e, block)
+            for phase_reads in reads[1:]:
+                _tap_sum(taps, phase_reads, a, e, other)
+                np.maximum(block, other, out=block)
+            block += bias[:, None]
+            np.maximum(block, 0, out=block)
+        out[:, i] = grid.reshape(f, hp, wp)[:, :out.shape[2], :out.shape[3]]
+    return _as_map(out, b, *out.shape[2:])
 
 
 def _unpool_blocks(xp, pp, up, dp, h, w, blocks) -> None:

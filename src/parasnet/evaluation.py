@@ -90,8 +90,9 @@ class ConfusionMatrix:
 class CnnClassifier:
     """predict_batch adapter around a trained model."""
 
-    # images per forward pass; perfbench/run.py --trace 1 reads it
-    batch_size = 1
+    # images per forward pass of predict_batch; perfbench/run.py --trace 1
+    # reads it
+    batch_size = pm.CHUNK_IMAGES
 
     def __init__(self, model: pm.ParasNetModel):
         self.model = model

@@ -21,7 +21,9 @@ Two users build on it:
   in-memory generation (synth.gen_dataset), and the baseline's SIFT
   passes in training (classify.train_baseline) and in batch prediction
   (SiftBowClassifier.predict_batch). Each image's work depends only on
-  its index, so the results are the same however the ranges fall. gen
+  its index, or, in batch inference, on its chunk of
+  model.CHUNK_IMAGES, whose bounds every range keeps (unit), so the
+  results are the same however the ranges fall. gen
   and gen_dataset walk a split in one order, synth.sample_at, so that
   every range holds every class alike; gen_dataset's children write
   their images straight into one array over a shared mapping made
@@ -238,16 +240,19 @@ def _run_range(fn: Callable, args: tuple, start: int, stop: int, inbox: int, out
     _send(outbox, _answer(fn(*args, start, stop)))
 
 
-def map_ranges(fn: Callable, args: tuple, n: int) -> list:
+def map_ranges(fn: Callable, args: tuple, n: int, unit: int = 1) -> list:
     """[fn(*args, start, stop) for each range] over count(n) contiguous
-    ranges that cover 0..n-1 in order.
+    ranges that cover 0..n-1 in order, or over one per unit of items if
+    that is fewer: every bound but n is a multiple of unit.
 
     The calling process runs the first range while forked children run
     the rest. The children live only for this call, and are killed and
     reaped however it ends.
     """
-    ranges = count(n)
-    bounds = [(n * k // ranges, n * (k + 1) // ranges) for k in range(ranges)]
+    units = -(-n // unit)
+    ranges = max(min(count(n), units), 1)
+    bounds = [(min(units * k // ranges * unit, n), min(units * (k + 1) // ranges * unit, n))
+              for k in range(ranges)]
     if ranges == 1:
         return [fn(*args, 0, n)]
     children: list[_Child] = []

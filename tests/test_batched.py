@@ -182,18 +182,22 @@ def test_pool_then_relu_equals_relu_then_pool_bit_for_bit():
         assert pool_first.tobytes() == relu_first.tobytes()
 
 
-def test_train_mode_without_dropout_matches_infer_mode_bit_for_bit():
-    # both modes run the same convolutions; only the pool kernel differs
+def test_train_mode_without_dropout_matches_infer_mode():
+    # inference fuses stages 1 and 2 (batched.conv_pool_relu) and runs the
+    # dense head one image at a time; where a GEMM's elements depend on
+    # their column or row, as with some BLAS kernels, the sums round
+    # differently, so the modes agree to float32 rounding, not bitwise
     net = model.build_model(8, seed=9)
     rng = np.random.default_rng(9)
     for b in (1, 2):
         x = rng.random((b, model.INPUT_HEIGHT, model.INPUT_WIDTH, 1), dtype=np.float32)
-        inferred, _ = model.forward_batch(net, x)
-        trained, _, _ = model.forward_batch(
+        inferred, hidden = model.forward_batch(net, x)
+        trained, trained_hidden, _ = model.forward_batch(
             net, x, mode="train", rng=rng, dropout_rate=0.0, want_cache=True
         )
         assert inferred.dtype == np.float32
-        assert trained.tobytes() == inferred.tobytes()
+        np.testing.assert_allclose(trained, inferred, rtol=1e-5, atol=1e-7)
+        np.testing.assert_allclose(trained_hidden, hidden, rtol=1e-5, atol=1e-6)
 
 
 def test_dense_gradients_match_finite_differences():

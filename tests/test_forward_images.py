@@ -1,6 +1,6 @@
-"""model.forward_images: the empty stack, the contiguous shards split
-between this process and forked children, and the serial loop it falls
-back to."""
+"""model.forward_images: the empty stack, the chunks of CHUNK_IMAGES
+images it runs, the contiguous shards on chunk bounds split between this
+process and forked children, and the serial loop it falls back to."""
 
 import multiprocessing
 import os
@@ -31,14 +31,38 @@ def _stacks(n: int, size: int = 94):
     return {"array": pixels.astype(np.float32) / 255.0, "stack": pgmio.ImageStack(pixels)}
 
 
-# the unpatched forward_batch, for the oracle
+# the unpatched forward_batch, for the oracles
 _forward_batch = pm.forward_batch
+
+C = pm.CHUNK_IMAGES
+
+# three chunks, the last one short: enough to split into two or three
+# ranges
+N = 2 * C + 3
+
+
+def _loop(model, images, size):
+    """(probs, hidden) of forward_batch calls over consecutive chunks of
+    size images, written out as an oracle."""
+    outs = [_forward_batch(model, images[i : i + size]) for i in range(0, len(images), size)]
+    return tuple(np.concatenate(parts) for parts in zip(*outs))
 
 
 def _serial(model, images):
-    """The one-image-per-call loop, written out as the oracle."""
-    outs = [_forward_batch(model, images[i : i + 1]) for i in range(len(images))]
-    return tuple(np.concatenate(parts) for parts in zip(*outs))
+    """The chunk loop forward_images runs."""
+    return _loop(model, images, C)
+
+
+def test_chunks_agree_with_one_image_per_call():
+    # a GEMM's element may depend on its column, with some BLAS kernels,
+    # so a chunk's outputs are close to, not always bitwise equal to, one
+    # image per call
+    model = _model()
+    images = _stacks(N)["array"]
+    got = pm.forward_images(model, images)
+    for g, w in zip(got, _loop(model, images, 1)):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        np.testing.assert_allclose(g, w, rtol=1e-5, atol=1e-6)
 
 
 class TestEmptyStack:
@@ -61,7 +85,8 @@ class TestEmptyStack:
 
 @pytest.fixture
 def in_parent_calls(monkeypatch):
-    """Counts the forward_batch calls made in the test's own process."""
+    """The image count of each forward_batch call, a chunk, made in the
+    test's own process."""
     parent = os.getpid()
     forward_batch = pm.forward_batch
     calls = []
@@ -83,8 +108,8 @@ class TestSharding:
         self, cpus, in_parent_calls, kind, workers
     ):
         model = _model()
-        # 7 images: shards of 3 and 4, or of 2, 2 and 3
-        images = _stacks(7)[kind]
+        # three chunks: shards of one and two, or of one each
+        images = _stacks(N)[kind]
         want = _serial(model, images)
         cpus(workers)
         assert shards.count(len(images)) == workers
@@ -92,9 +117,20 @@ class TestSharding:
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.shape == w.shape
             assert g.tobytes() == w.tobytes()
-        # this process ran the first shard alone
-        assert in_parent_calls == [1] * (7 // workers)
+        # this process ran the first shard, one chunk, alone
+        assert in_parent_calls == [C]
         assert no_children()
+
+    @pytest.mark.parametrize("n", [0, 1, C - 1, C, C + 1, N])
+    def test_outputs_do_not_depend_on_the_usable_cpus(self, cpus, n):
+        model = _model()
+        images = _stacks(n)["stack"]
+        outputs = []
+        for workers in (1, 2, 3):
+            cpus(workers)
+            outputs.append(b"".join(a.tobytes() for a in pm.forward_images(model, images)))
+            assert no_children()
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
     @pytest.mark.parametrize("where", ["everywhere", "children"])
     def test_a_value_error_reaches_the_caller(self, cpus, monkeypatch, where):
@@ -113,15 +149,15 @@ class TestSharding:
 
         monkeypatch.setattr(pm, "forward_batch", forward)
         with pytest.raises(ValueError, match="does not match dense layer"):
-            pm.forward_images(_model(), _stacks(5)["array"])
+            pm.forward_images(_model(), _stacks(C + 1)["array"])
         assert no_children()
 
     def test_eval_exits_1_with_the_serial_error_line(
         self, tmp_path, capsys, cpus
     ):
-        labels = np.array([0, 0, 1, 1, 2, 2])
+        labels = np.arange(C + 1) % 3
         data = tmp_path / "data"
-        write_dataset(str(data / "test"), _pixels(6) / 255.0, labels, 1)
+        write_dataset(str(data / "test"), _pixels(C + 1) / 255.0, labels, 1)
         ckpt = str(tmp_path / "m.pnet")
         pm.save_checkpoint(pm.build_model(1, seed=0), ckpt)
         argv = ["eval", "--ckpt", ckpt, "--data", str(data),
@@ -145,31 +181,33 @@ class TestSharding:
         thread = threading.Thread(target=release.wait)
         thread.start()
         try:
-            assert shards.count(7) == 1
-            got = pm.forward_images(_model(), _stacks(7)["array"])
+            assert shards.count(N) == 1
+            got = pm.forward_images(_model(), _stacks(N)["array"])
         finally:
             release.set()
             thread.join()
-        assert in_parent_calls == [1] * 7
-        assert got[0].shape == (7, pm.NUM_CLASSES)
+        assert in_parent_calls == [C, C, 3]
+        assert got[0].shape == (N, pm.NUM_CLASSES)
 
     def test_serial_with_one_usable_cpu(self, cpus, in_parent_calls):
         cpus(1)
-        pm.forward_images(_model(), _stacks(7)["stack"])
-        assert in_parent_calls == [1] * 7
+        pm.forward_images(_model(), _stacks(N)["stack"])
+        assert in_parent_calls == [C, C, 3]
 
-    def test_serial_below_the_per_worker_minimum(self, cpus, in_parent_calls):
+    def test_serial_below_the_per_worker_minimum(self, cpus, monkeypatch, in_parent_calls):
         cpus(2)
-        # two shards need 2 * MIN_IMAGES_PER_SHARD = 4 images
-        assert shards.count(3) == 1 and shards.count(4) == 2
-        pm.forward_images(_model(), _stacks(3)["array"])
-        assert in_parent_calls == [1] * 3
+        # the minimum counts images, not chunks: three chunks are too few
+        # for two shards of 16 images
+        monkeypatch.setattr(shards, "MIN_IMAGES_PER_SHARD", 16)
+        assert shards.count(31) == 1 and shards.count(32) == 2
+        pm.forward_images(_model(), _stacks(N)["array"])
+        assert in_parent_calls == [C, C, 3]
 
     def test_forks_inside_another_pools_worker(self, cpus):
         # os.fork, unlike multiprocessing, lets a daemonic pool worker have
         # children
         cpus(2)
-        images = _stacks(7)["array"]
+        images = _stacks(N)["array"]
         with multiprocessing.get_context("fork").Pool(1) as pool:
             got = pool.apply(_forward_in_worker, (images,))
             pool.close()
@@ -189,7 +227,7 @@ class TestSharding:
 
         monkeypatch.setattr(pm, "forward_batch", die_in_child)
         with pytest.raises(ChildProcessError, match="killed by SIGKILL"):
-            pm.forward_images(_model(), _stacks(7)["stack"])
+            pm.forward_images(_model(), _stacks(N)["stack"])
         assert no_children()
 
     def test_workers_are_capped_by_the_images(self, cpus):

@@ -71,6 +71,18 @@ class TestForked:
         assert os.getpid() not in pids[1:]
         assert no_children()
 
+    @pytest.mark.parametrize("cpus_, n, bounds", [
+        (2, 19, [(0, 8), (8, 19)]), (3, 19, [(0, 8), (8, 16), (16, 19)]),
+        # no more ranges than units, so none is empty
+        (3, 9, [(0, 8), (8, 9)]), (2, 8, [(0, 8)]),
+    ])
+    def test_ranges_fall_on_unit_bounds(self, cpus, cpus_, n, bounds):
+        cpus(cpus_)
+        results = shards.map_ranges(_whoami, ("t",), n, 8)
+        assert [(start, stop) for _, _, start, stop in results] == bounds
+        assert results[0][1] == os.getpid()
+        assert no_children()
+
     def test_back_to_back_calls_each_fork(self, cpus):
         cpus(2)
         for _ in range(5):
