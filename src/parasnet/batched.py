@@ -57,13 +57,15 @@ Every kernel allocates its outputs fresh and keeps no state between
 calls, so callers in different threads share no buffers.
 
 Given a shards.Helper, as training.fit's steps are, a kernel allocates
-its outputs in the helper's arena and, when they hold at least
-_SHARED_VALUES values, shares its work with the helper: the conv and
-pool kernels give it the later half of their blocks, and conv_backward
-its d_kernels and d_bias while this process computes d_input. Every
-block keeps its bounds and every sum its order, so each value comes
-from the same numpy or BLAS call on the same operands as without a
-helper, and the outputs are byte-identical.
+the arrays the helper may write in the helper's arena and, when its
+output holds at least _SHARED_VALUES values, shares its work with the
+helper: the conv and pool kernels give it the later half of their
+blocks, and conv_backward its per-block d_kernels terms while this
+process computes d_input. Every block keeps its bounds and every sum its
+order, so each value comes from the same numpy or BLAS call on the same
+operands as without a helper, and the outputs are byte-identical. The
+arena takes its bytes back only all at once, between training steps,
+so each kernel lends what train_stage_bytes counts and no more.
 """
 
 from __future__ import annotations
@@ -149,12 +151,11 @@ def train_stage_bytes(b: int, h: int, w: int, c_in: int, c_out: int, itemsize: i
     """The arena bytes that one conv/pool stage of a training step, input
     (b, h, w, c_in), lends from a helper: conv_forward's output and
     maxpool_backward's on the input grid, the pooled map, and
-    conv_backward's d_input, d_kernels, d_bias and d_kernels terms."""
+    conv_backward's d_input and d_kernels terms."""
     grid = b * h * w
     pooled = b * (max(h - 2, 0) // 2) * (max(w - 2, 0) // 2)
     blocks = grid // max(_BLOCK_VALUES // max(c_in, c_out), 1) + 1
-    values = [c_out * grid, c_out * pooled, c_out * grid, c_in * grid, 9 * c_in * c_out, c_out,
-              blocks * 9 * c_in * c_out]
+    values = [c_out * grid, c_out * pooled, c_out * grid, c_in * grid, blocks * 9 * c_in * c_out]
     return sum(shards.aligned(v * itemsize) for v in values)
 
 
@@ -186,25 +187,16 @@ def conv_forward(
     return _as_map(om, b, h, w)
 
 
-def _tap_grads(xm, up, shifts, a, e) -> np.ndarray:
-    """The d_kernels term of output columns a..e, in taps' (9, c_in, c_out) shape."""
-    u = up[:, a:e]
-    if xm.shape[0] == 1:
-        return (_windows([(xm, s) for s in shifts], a, e) @ u.T)[:, None]
-    return np.stack([xm[:, s + a:s + e] @ u.T for s in shifts])
-
-
-def _kernel_grads(xm, up, d_taps, d_bias, shifts, blocks) -> None:
-    """conv_backward's d_bias, and its d_kernels summed over the blocks in order."""
-    np.sum(up, axis=1, out=d_bias)
-    for a, e in blocks:
-        d_taps += _tap_grads(xm, up, shifts, a, e)
-
-
 def _tap_terms(xm, up, terms, shifts, blocks, items) -> None:
-    """The d_kernels terms of the blocks numbered in items, into terms."""
+    """The d_kernels terms of the blocks numbered in items, into terms,
+    each in taps' (9, c_in, c_out) shape."""
     for k in items:
-        terms[k] = _tap_grads(xm, up, shifts, *blocks[k])
+        a, e = blocks[k]
+        u = up[:, a:e]
+        if xm.shape[0] == 1:
+            terms[k] = (_windows([(xm, s) for s in shifts], a, e) @ u.T)[:, None]
+        else:
+            terms[k] = np.stack([xm[:, s + a:s + e] @ u.T for s in shifts])
 
 
 def _input_grad(taps, up, dm, shifts, blocks) -> None:
@@ -227,10 +219,10 @@ def conv_backward(
     """Gradients of conv_forward; x is the layer's input, of shape x_shape,
     and upstream the output's gradient on x's grid, zero outside its valid
     region. d_input, channel-major, is skipped (None) for the first layer
-    of a network. A helper computes d_kernels and d_bias while this
-    process computes d_input; with no d_input, the two share out the
-    blocks' d_kernels terms, which this process then adds up. Each sum
-    keeps its order."""
+    of a network. d_kernels is the sum, in block order, of one term per
+    column block. A helper computes every term while this process
+    computes d_input; with no d_input, the two share out the terms. Each
+    sum keeps its order."""
     b, h, w, c_in = x_shape
     taps = kernels.reshape(9, c_in, -1)
     shifts = _shifts(w)
@@ -239,23 +231,22 @@ def conv_backward(
     n = xm.shape[1] - shifts[-1]
     blocks = _blocks(n, max(taps.shape[1:]))
 
-    d_taps = shards.zeros(helper, taps.shape, np.result_type(x, upstream))
-    d_bias = shards.empty(helper, up.shape[:1], up.dtype)
+    # every block's d_kernels term, added up below in block order
+    terms = shards.empty(helper, (len(blocks), *taps.shape), np.result_type(x, upstream))
+    args, items = (xm, up, terms, shifts, blocks), range(len(blocks))
+    sharing = _sharing(helper, up.size)
+    d_input = None
     if need_input_grad:
         dm = shards.zeros(helper, xm.shape, upstream.dtype)
-        shards.beside(
-            _sharing(helper, up.size),
-            (_kernel_grads, (xm, up, d_taps, d_bias, shifts, blocks), (d_taps, d_bias)),
-            (_input_grad, (taps, up, dm, shifts, blocks)),
-        )
-        return _as_map(dm, b, h, w), d_taps.reshape(kernels.shape), d_bias
-    terms = shards.empty(helper, (len(blocks), *taps.shape), d_taps.dtype)
-    shards.split(_sharing(helper, up.size), _tap_terms, (xm, up, terms, shifts, blocks),
-                 range(len(blocks)), (terms,))
-    np.sum(up, axis=1, out=d_bias)
+        shards.beside(sharing, (_tap_terms, (*args, items), (terms,)),
+                      (_input_grad, (taps, up, dm, shifts, blocks)))
+        d_input = _as_map(dm, b, h, w)
+    else:
+        shards.split(sharing, _tap_terms, args, items, (terms,))
+    d_taps = np.zeros(taps.shape, terms.dtype)
     for term in terms:
         d_taps += term
-    return None, d_taps.reshape(kernels.shape), d_bias
+    return d_input, d_taps.reshape(kernels.shape), up.sum(axis=1)
 
 
 def _pool_cells(planes: np.ndarray):

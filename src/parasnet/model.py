@@ -257,23 +257,22 @@ def forward_batch(
     """
     if x.ndim != 4 or x.shape[3] != 1:
         raise ValueError(f"expected input of shape (B, h, w, 1), got {x.shape}")
+    if x.shape[0] == 0:
+        raise ValueError("empty batch: forward_batch needs at least one image")
     layer_shapes(model.filters, *x.shape[1:3])  # raises for an input too small
     pool = batched.maxpool_forward if want_cache else batched.maxpool_infer
     conv_pre = []
     pooled = []
-    # the kernels get a helper only when there is one, so that a stand-in
-    # with their plain signature, such as a test's wrapper, still fits
-    share = {} if helper is None else {"helper": helper}
     # with one channel, x is already a channel-major map
     h = x
     for stage, (k, b) in enumerate(zip(model.conv_kernels, model.conv_biases)):
         if not want_cache and stage < FUSED_STAGES:
             h = batched.conv_pool_relu(h, k, b)
             continue
-        a = batched.conv_forward(h, k, b, **share)[:, : h.shape[1] - 2, : h.shape[2] - 2]
+        a = batched.conv_forward(h, k, b, helper=helper)[:, : h.shape[1] - 2, : h.shape[2] - 2]
         # pool, then ReLU on the 4x smaller map: ReLU is monotone, so
         # both orders give exactly the same values
-        h = pool(a, **share)
+        h = pool(a, helper=helper)
         np.maximum(h, 0, out=h)
         if want_cache:
             conv_pre.append(a)
@@ -331,13 +330,12 @@ def backward_batch(
         cache.flat, model.dense1_weights, d_dense1_pre
     )
     grads: list[np.ndarray] = [d_w1, d_b1, d_w2, d_b2]
-    share = {} if helper is None else {"helper": helper}
     d_pool = d_flat.reshape(cache.pooled[-1].shape)
     for i in range(4, -1, -1):
         conv_pre = cache.conv_pre[i]
         x = cache.inputs[i]
         d_conv = batched.maxpool_backward(
-            conv_pre.shape, conv_pre, cache.pooled[i], d_pool, x.shape[1:3], **share
+            conv_pre.shape, conv_pre, cache.pooled[i], d_pool, x.shape[1:3], helper=helper
         )
         d_pool, d_kernels, d_bias = batched.conv_backward(
             x.shape,
@@ -345,7 +343,7 @@ def backward_batch(
             model.conv_kernels[i],
             d_conv,
             need_input_grad=(i > 0),
-            **share,
+            helper=helper,
         )
         grads.insert(0, d_bias)
         grads.insert(0, d_kernels)
@@ -355,8 +353,9 @@ def backward_batch(
 def train_step_bytes(filters: int, batch: int, height: int, width: int, itemsize: int) -> int:
     """The bytes of the arrays that one training step at this batch size
     and input size lends from a shards.Helper's arena: the input batch
-    and, per stage, batched.train_stage_bytes: lent in order with none
-    given back, they would fill no more than this."""
+    and, per stage, batched.train_stage_bytes. The arena lends them in
+    order and takes none back before the next step, so a step at this
+    batch size or below fills no more than this."""
     total = shards.aligned(batch * height * width * itemsize)
     h, w, c_in = height, width, 1
     for _ in range(5):

@@ -31,12 +31,13 @@ Two users build on it:
 - A Helper is one child that lives as long as a with block and runs
   calls for the parent over arrays in an anonymous shared mapping (the
   arena) made before the fork; split and beside hand it part of a
-  kernel's work. training.fit splits every training step with one.
+  kernel's work. training.fit splits every training step with one. The
+  arena lends its bytes in order and takes them all back at once, at
+  reset, between steps: every array a step lends dies when it returns.
 """
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import ctypes
 import mmap
@@ -46,6 +47,7 @@ import select
 import signal
 import time
 import struct
+import weakref
 from typing import Callable
 
 import numpy as np
@@ -297,25 +299,6 @@ def _glibc(name: str, *args) -> None:
     fn(*args)
 
 
-class _Block:
-    """Arena bytes [start, start + size) lent to the array made from it:
-    numpy keeps this object as the array's base, and it gives the bytes
-    back once the array and every view of it are gone."""
-
-    def __init__(self, helper: "Helper", start: int, size: int, shape, dtype: np.dtype):
-        self._helper, self._start, self._size = helper, start, size
-        self.__array_interface__ = {
-            "data": (helper._address + start, False),
-            "shape": tuple(shape),
-            "typestr": dtype.str,
-            "version": 3,
-        }
-
-    def __del__(self):
-        # only queued: a garbage collection inside Helper._take may run this
-        self._helper._returned.append((self._start, self._size))
-
-
 class _Ref(tuple):
     """Stands for an argument the helper already has: ("arena", offset,
     shape, strides, dtype) for an arena array, ("inherited", k) for the
@@ -355,11 +338,12 @@ class Helper:
     mapping of nbytes made before the fork, so both processes see every
     write to it.
 
-    empty lends arena arrays; an array gives its bytes back when it and
-    its views are gone, and the lowest free bytes are lent first, so the
-    pages in use stay those of the arrays alive at once. When the arena
-    has no room it returns a private array, which the helper cannot
-    write, and split and beside then keep the work in this process.
+    empty lends arena arrays from a bump pointer, each on the next
+    ALIGN-aligned bytes, and reset takes them all back at once, as
+    training._step does at its top; it raises while one of them, or a
+    view of one, is alive. When the arena has no room, empty returns a
+    private array, which the helper cannot write, and split and beside
+    then keep the work in this process.
 
     submit sends fn and args down a pipe as one pickle: arguments that
     are arena arrays or inherited objects, which the child has from the
@@ -375,8 +359,10 @@ class Helper:
         _glibc("malloc_trim", 0)
         self._arena = mmap.mmap(-1, max(nbytes, ALIGN))
         self._address = np.frombuffer(self._arena, np.uint8).ctypes.data
-        self._free = [(0, len(self._arena))]
-        self._returned: list[tuple[int, int]] = []
+        # the offset of the next array lent, and a weak reference to each
+        # array lent since the last reset
+        self._top = 0
+        self._lent: list[weakref.ref] = []
         self._keep = inherited
         self._inherited = {id(obj): k for k, obj in enumerate(inherited)}
         self._pending: list[tuple] = []
@@ -403,39 +389,34 @@ class Helper:
         self._pending = []
         self._child.close()
 
-    def _take(self, size: int) -> int | None:
-        while self._returned:
-            self._give(*self._returned.pop())
-        size = aligned(size)
-        for k, (start, length) in enumerate(self._free):
-            if length >= size:
-                self._free[k:k + 1] = [(start + size, length - size)] if length > size else []
-                return start
-        return None
-
-    def _give(self, start: int, size: int) -> None:
-        size = aligned(size)
-        k = bisect.bisect(self._free, (start, 0))
-        if k < len(self._free) and self._free[k][0] == start + size:
-            size += self._free.pop(k)[1]
-        if k and sum(self._free[k - 1]) == start:
-            k -= 1
-            start, size = self._free[k][0], self._free.pop(k)[1] + size
-        self._free.insert(k, (start, size))
-
     def empty(self, shape, dtype) -> np.ndarray:
+        """An uninitialised array on the next free arena bytes, or a
+        private one when they are too few."""
         dtype = np.dtype(dtype)
         size = int(np.prod(shape)) * dtype.itemsize
-        start = self._take(size) if size else None
-        if start is None:
+        if not size or self._top + size > len(self._arena):
             return np.empty(shape, dtype)
-        return np.asarray(_Block(self, start, size, shape, dtype))
+        # the array's base is the mapping itself, so every view of it has
+        # the array as its base, and the weak reference dies only with the
+        # last of them
+        a = np.ndarray(shape, dtype, buffer=self._arena, offset=self._top)
+        self._top += aligned(size)
+        self._lent.append(weakref.ref(a))
+        return a
+
+    def reset(self) -> None:
+        """Lend from the arena's start again; a RuntimeError if an array
+        lent since the last reset, or a view of one, is still alive, since
+        its bytes would be lent twice."""
+        alive = sum(ref() is not None for ref in self._lent)
+        if alive:
+            raise RuntimeError(f"reset with {alive} lent arena array(s) still alive")
+        self._lent, self._top = [], 0
 
     def holds(self, a: np.ndarray) -> bool:
-        """Whether a is an arena array or a view of one."""
-        while isinstance(a, np.ndarray):
-            a = a.base
-        return isinstance(a, _Block) and a._helper is self
+        """Whether a's data lies in the arena: an arena array or a view of one."""
+        offset = a.__array_interface__["data"][0] - self._address
+        return 0 <= offset < len(self._arena)
 
     def takes(self, args: tuple, writes: tuple) -> bool:
         """Whether the helper can run a call on args that writes the
@@ -449,8 +430,8 @@ class Helper:
     def submit(self, fn: Callable, *args) -> None:
         """Start fn(*args) in the helper; fn must be importable by name."""
         refs = tuple(self._ref(arg) for arg in args)
-        # the arrays stay alive, so their bytes are not lent again, until
-        # the helper has answered
+        # the arrays stay alive, so that reset refuses to lend their bytes
+        # again, until the helper has answered
         self._pending.append(args)
         self._child.send(pickle.dumps((fn, refs), pickle.HIGHEST_PROTOCOL))
 

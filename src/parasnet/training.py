@@ -312,8 +312,11 @@ def _augment_into(images, batch: np.ndarray, drawn: list[Drawn], out: np.ndarray
 def _step(model, images, labels, batch, eye, rng, params, state, config, helper) -> float:
     """One Adam step on images[batch]; returns its mean loss. Every draw
     comes from rng in a fixed order: each image's augmentation, then the
-    dropout mask. The arrays the step makes die when it returns, so their
-    arena bytes are free for the next."""
+    dropout mask. The step first resets the helper's arena: every array
+    the last step lent from it died when that step returned, so this
+    step lends the same bytes again, from the start."""
+    if helper is not None:
+        helper.reset()
     xb = shards.empty(helper, (len(batch), *images.shape[1:]), images.dtype)
     if config.augment:
         drawn = [Drawn(*images.shape[1:3], rng) for _ in batch]

@@ -7,9 +7,14 @@ GEMM depends on its column, so the comparison allows for a different
 summation order, with a bound set from the float32 epsilon.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import parasnet
 from parasnet import batched
 
 # (h, w) of a stage input: every odd/even pair, and one map whose phases
@@ -111,3 +116,36 @@ def test_every_allocated_value_is_written(monkeypatch):
     assert poisoned.made
     for array in poisoned.made:
         assert not np.isnan(array).any()
+
+
+# predict_one in a fresh process: 20 calls to warm up, then the minor page
+# faults of 100 more, per call
+_FAULTS_PER_CALL = """
+import resource
+import numpy as np
+from parasnet import evaluation as ev, model as pm
+classifier = ev.CnnClassifier(pm.build_model(8, seed=0))
+image = np.random.default_rng(0).random((244, 324, 1), dtype=np.float32)
+for _ in range(20):
+    classifier.predict_one(image)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(100):
+    classifier.predict_one(image)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 100)
+"""
+
+
+def test_a_warm_single_image_forward_barely_faults():
+    # conv_pool_relu makes its working arrays in one allocation, the
+    # largest of a B = 1 forward, which lifts glibc's dynamic mmap
+    # threshold above the rest, so they stay mapped between calls; as
+    # three arrays, each call faulted about 380 times. A fresh process
+    # is needed, since a long-running one, such as pytest's, has raised
+    # the threshold already
+    src = os.path.dirname(os.path.dirname(parasnet.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", _FAULTS_PER_CALL], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) < 50

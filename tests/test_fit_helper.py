@@ -1,7 +1,7 @@
 """training.fit with a forked shards.Helper: byte-identical to a
-one-process run at the network's input size, and a helper killed
-mid-epoch makes fit, and `parasnet train`, fail promptly with no child
-left behind."""
+one-process run at the network's input size, every step's arrays lent
+from the helper's arena, and a helper killed mid-epoch makes fit, and
+`parasnet train`, fail promptly with no child left behind."""
 
 import hashlib
 import os
@@ -19,18 +19,26 @@ from parasnet import training as tr
 
 
 class CountingHelper(shards.Helper):
-    """A Helper that counts the calls this process hands it."""
+    """A Helper that counts the calls this process hands it, and the
+    arrays it lends from its arena and those it had no room for."""
 
     made: list = []
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.calls = 0
+        self.calls = self.lent = self.private = 0
         CountingHelper.made.append(self)
 
     def submit(self, fn, *args):
         self.calls += 1
         super().submit(fn, *args)
+
+    def empty(self, shape, dtype):
+        a = super().empty(shape, dtype)
+        if a.size:
+            self.lent += self.holds(a)
+            self.private += not self.holds(a)
+        return a
 
 
 def _data(n: int, kind: str, seed: int):
@@ -77,6 +85,23 @@ class TestSplitStep:
         # the helper took part of every step of the two epochs
         (helper,) = CountingHelper.made
         assert helper.calls >= 2 * -(-n // 8)
+        assert no_children()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("filters", [1, 2, 8])
+    def test_every_step_fits_in_the_arena(self, cpus, monkeypatch, filters, dtype):
+        # model.train_step_bytes sizes the arena; an array it does not
+        # count would come back private, and its work would run here alone
+        cpus(2)
+        monkeypatch.setattr(shards, "Helper", CountingHelper)
+        # at batch 8, last batches of one, five and eight images
+        for n in (9, 13, 16):
+            CountingHelper.made = []
+            images, labels, test_images, test_labels = _data(n, "array", seed=n)
+            tr.fit(pm.build_model(filters, seed=0), images.astype(dtype), labels,
+                   test_images.astype(dtype), test_labels, tr.TrainConfig(epochs=1))
+            (helper,) = CountingHelper.made
+            assert helper.lent > 0 and helper.private == 0, (n, helper.lent, helper.private)
         assert no_children()
 
     def test_a_killed_helper_fails_the_fit_promptly(self, cpus, monkeypatch):

@@ -162,6 +162,15 @@ class TestForward:
         with pytest.raises(ValueError, match="shape"):
             ev.CnnClassifier(m).predict_one(np.zeros((244, 324)))
 
+    @pytest.mark.parametrize("mode", ["infer", "train"])
+    def test_empty_batch_is_a_value_error(self, mode):
+        # both the fused inference stages and training's cached path
+        m = pm.build_model(2, seed=1)
+        x = np.zeros((0, 244, 324, 1), np.float32)
+        with pytest.raises(ValueError, match="empty batch"):
+            pm.forward_batch(m, x, mode=mode, rng=np.random.default_rng(0),
+                             want_cache=mode == "train")
+
     def test_concurrent_single_image_calls_match_serial_results(self):
         m = pm.build_model(8, seed=2)
         rng = np.random.default_rng(2)
@@ -244,8 +253,8 @@ class TestChannelMajorLayout:
         conv_forward = batched.conv_forward
         poisoned = []
 
-        def poisoning(x, kernels, bias):
-            out = conv_forward(x, kernels, bias)
+        def poisoning(x, kernels, bias, helper=None):
+            out = conv_forward(x, kernels, bias, helper=helper)
             out[:, -2:] = np.nan
             out[:, :, -2:] = np.nan
             poisoned.append(out.shape)

@@ -154,34 +154,62 @@ class TestForked:
 
 @needs_fork
 class TestHelper:
-    def test_arena_arrays_are_reused_lowest_first(self):
+    def test_lending_starts_at_the_arena_start_after_a_reset(self):
         with shards.Helper(1 << 16) as helper:
             a = helper.empty((10, 10), np.float32)
             b = helper.empty((10,), np.float64)
             assert helper.holds(a) and helper.holds(b) and helper.holds(a[2:, ::2])
+            assert helper.holds(a[::-1, ::-1])
             assert not helper.holds(np.empty(4))
             start = a.__array_interface__["data"][0]
-            del a
-            # a's bytes, given back, are the lowest free ones again
+            # each array starts on the next aligned bytes
+            assert b.__array_interface__["data"][0] == start + shards.aligned(a.nbytes)
+            assert helper.empty((1 << 20,), np.uint8).base is None
+            del a, b
+            helper.reset()
             c = helper.empty((4,), np.float32)
             assert c.__array_interface__["data"][0] == start
-            assert helper.empty((1 << 20,), np.uint8).base is None
-            assert b.size == 10
+
+    def test_a_reset_raises_while_a_lent_array_or_a_view_lives(self):
+        with shards.Helper(1 << 16) as helper:
+            a = helper.empty((10, 10), np.float32)
+            with pytest.raises(RuntimeError, match="1 lent arena array"):
+                helper.reset()
+            view = a[2:, ::2].T
+            del a
+            with pytest.raises(RuntimeError, match="still alive"):
+                helper.reset()
+            del view
+            helper.reset()
+            # a private array is not the arena's to take back
+            private = helper.empty((1 << 20,), np.uint8)
+            helper.reset()
+            assert not helper.holds(private)
 
     def test_lent_arrays_never_overlap(self):
-        # arrays lent and given back at random, each filled half by the
-        # helper: bytes lent twice would overwrite a live array's values
+        # arrays lent, and some dropped, at random between resets, each
+        # filled half by the helper: bytes lent twice would overwrite a
+        # live array's values
         rng = np.random.default_rng(0)
-        with shards.Helper(1 << 20) as helper:
-            live = {}
-            for k in range(300):
-                if live and rng.random() < 0.4:
-                    del live[int(rng.choice(list(live)))]
-                a = helper.empty((int(rng.integers(1, 200)), 8), np.float64)
-                shards.split(helper, _fill, (a, float(k)), list(range(len(a))), (a,))
-                live[k] = a
-                for j, b in live.items():
-                    assert b[:, -1].tolist() == [j + i for i in range(len(b))]
+        with shards.Helper(1 << 18) as helper:
+            lent = private = 0
+            for _ in range(6):
+                live = {}
+                for k in range(50):
+                    if live and rng.random() < 0.4:
+                        del live[int(rng.choice(list(live)))]
+                    a = helper.empty((int(rng.integers(1, 200)), 8), np.float64)
+                    lent += helper.holds(a)
+                    private += not helper.holds(a)
+                    shards.split(helper, _fill, (a, float(k)), list(range(len(a))), (a,))
+                    live[k] = a
+                    for j, b in live.items():
+                        assert b[:, -1].tolist() == [j + i for i in range(len(b))]
+                del live, a, b
+                helper.reset()
+            # a round's arrays overfill the arena, which lends them again
+            # from its start after each reset
+            assert lent > 6 * 50 // 2 and private > 0
 
     def test_split_and_beside_write_the_arena(self):
         with shards.Helper(1 << 16) as helper:
