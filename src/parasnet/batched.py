@@ -37,8 +37,11 @@ Both paths pool before the ReLU, on the pre-activation conv output, and
 rectify the 4x smaller pooled map; ReLU is monotone, so this equals
 pooling the rectified map. Training keeps no record of the pooling
 winners: maxpool_backward recomputes them from the conv output and the
-pooled map, trading a few comparisons for the stored index map. Each
-pooling pass runs along image rows, w/2 elements at a time.
+pooled map, trading a few comparisons for the stored index map. It
+writes the gradient over the conv output it compares, cell by cell,
+since backward reads that output nowhere else: a training step then
+holds one full-size map per stage, not two. Each pooling pass runs
+along image rows, w/2 elements at a time.
 
 Inference runs stages 1 and 2 as one fused kernel, conv_pool_relu. It
 splits each image of the stage input into its four 2x2 polyphase
@@ -53,8 +56,9 @@ of the four, adds the bias and rectifies: no full-size conv output is
 written, and no pooling pass reads one through stride-2 views. Training
 keeps the layered kernels, whose outputs backward needs.
 
-Every kernel allocates its outputs fresh and keeps no state between
-calls, so callers in different threads share no buffers.
+Every kernel but maxpool_backward, which writes over its conv output
+map, allocates its outputs fresh, and none keeps state between calls,
+so callers in different threads share no buffers.
 
 Given a shards.Helper, as training.fit's steps are, a kernel allocates
 the arrays the helper may write in the helper's arena and, when its
@@ -147,15 +151,22 @@ def _tap_sum(taps, reads, a, e, out) -> None:
         out += taps[t].T @ m[:, s + a:s + e]
 
 
-def train_stage_bytes(b: int, h: int, w: int, c_in: int, c_out: int, itemsize: int) -> int:
+def train_stage_bytes(
+    b: int, h: int, w: int, c_in: int, c_out: int, itemsize: int, need_input_grad: bool
+) -> int:
     """The arena bytes that one conv/pool stage of a training step, input
-    (b, h, w, c_in), lends from a helper: conv_forward's output and
-    maxpool_backward's on the input grid, the pooled map, and
-    conv_backward's d_input and d_kernels terms."""
+    (b, h, w, c_in), lends from a helper: conv_forward's output on the
+    input grid, which maxpool_backward then overwrites with its gradient,
+    the pooled map, and conv_backward's d_kernels terms and, given
+    need_input_grad, as for every stage but a network's first, its
+    d_input. Each array takes its aligned bytes, so a step lends exactly
+    the sum."""
     grid = b * h * w
     pooled = b * (max(h - 2, 0) // 2) * (max(w - 2, 0) // 2)
-    blocks = grid // max(_BLOCK_VALUES // max(c_in, c_out), 1) + 1
-    values = [c_out * grid, c_out * pooled, c_out * grid, c_in * grid, blocks * 9 * c_in * c_out]
+    blocks = len(_blocks(grid - _shifts(w)[-1], max(c_in, c_out)))
+    values = [c_out * grid, c_out * pooled, blocks * 9 * c_in * c_out]
+    if need_input_grad:
+        values.append(c_in * grid)
     return sum(shards.aligned(v * itemsize) for v in values)
 
 
@@ -361,38 +372,40 @@ def conv_pool_relu(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.n
     return _as_map(out, b, *out.shape[2:])
 
 
-def _unpool_blocks(xp, pp, up, dp, h, w, blocks) -> None:
-    """maxpool_backward's planes, block by block."""
+def _unpool_blocks(gp, pp, up, h, w, blocks) -> None:
+    """maxpool_backward's planes, block by block, over the conv output
+    planes gp: each cell is compared before it is written."""
     for a, e in blocks:
-        dp[a:e, 2 * (h // 2):] = 0
-        dp[a:e, :, 2 * (w // 2):] = 0
+        gp[a:e, 2 * (h // 2):] = 0
+        gp[a:e, :, 2 * (w // 2):] = 0
         # rest holds what no earlier cell took; a winner's value is
         # subtracted exactly, leaving 0
         rest = up[a:e] * (pp[a:e] > 0)
         hit = np.empty(rest.shape, bool)
-        cells, d_cells = _pool_cells(xp[a:e]), _pool_cells(dp[a:e, :h, :w])
-        for cell, d_cell in zip(cells[:3], d_cells[:3]):
+        cells = _pool_cells(gp[a:e, :h, :w])
+        for cell in cells[:3]:
             np.equal(cell, pp[a:e], out=hit)
-            np.multiply(rest, hit, out=d_cell)
-            rest -= d_cell
+            np.multiply(rest, hit, out=cell)
+            rest -= cell
         # any gradient still left belongs to the last cell
-        d_cells[3][...] = rest
+        cells[3][...] = rest
 
 
 def maxpool_backward(
     x_shape: tuple[int, ...],
-    x: np.ndarray,
+    grid: np.ndarray,
     pooled: np.ndarray,
     upstream: np.ndarray,
-    grid: tuple[int, int],
     helper: shards.Helper | None = None,
 ) -> np.ndarray:
     """Gradient of relu(maxpool_forward(x)) with respect to x, of shape
-    x_shape, placed on a grid of (rows, cols) = grid at least as large as
-    x's (h, w): the result is a fresh channel-major (batch, rows, cols, c)
-    map whose [:, :h, :w] is the gradient and whose rest is zero. A conv
-    output lies on its input's grid, so this is the upstream gradient
-    conv_backward takes.
+    x_shape, written over x in place. grid is a channel-major (batch,
+    rows, cols, c) map at least as large as x's (h, w), whose [:, :h, :w]
+    is x, as conv_forward returns it; on return its [:, :h, :w] holds the
+    gradient and its rest is zero, and grid is returned. A conv output
+    lies on its input's grid, so this is the upstream gradient
+    conv_backward takes. Raises ValueError for a map that is not
+    channel-major, whose planes the kernel could write only in a copy.
 
     pooled is the rectified pool output. Each window's upstream gradient
     goes to its first cell, in row-major window order, whose value equals
@@ -400,12 +413,14 @@ def maxpool_backward(
     trailing row or column the windows do not cover gets zero. A helper
     takes half the plane blocks.
     """
-    b, h, w, c = x_shape
-    dp = shards.empty(helper, (c * b, *grid), upstream.dtype)
-    xp, pp, up = _planes(x), _planes(pooled), _planes(upstream)
+    h, w = x_shape[1:3]
+    gp = _planes(grid)
+    if not np.may_share_memory(gp, grid):
+        raise ValueError("maxpool_backward writes over grid, which must be a channel-major map")
+    pp, up = _planes(pooled), _planes(upstream)
     blocks = _blocks(len(pp), pp[0].size)
-    shards.split(_sharing(helper, dp.size), _unpool_blocks, (xp, pp, up, dp, h, w), blocks, (dp,))
-    return _as_map(dp, b, *grid)
+    shards.split(_sharing(helper, gp.size), _unpool_blocks, (gp, pp, up, h, w), blocks, (gp,))
+    return grid
 
 
 def dense_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:

@@ -240,8 +240,10 @@ def _gen_range(root: str, config, seed: int, split: str, start: int, stop: int) 
 
     for k in range(start, stop):
         label, index = synth.sample_at(k)
-        image = synth.gen_sample(label, index, config, seed, split)
-        pgmio.write_pgm(pgmio.image_path(root, label, index), image)
+        # unnamed, so that no image outlives its write: a loop variable
+        # would hold each one through the next image's gen_sample
+        pgmio.write_pgm(pgmio.image_path(root, label, index),
+                        synth.gen_sample(label, index, config, seed, split))
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:

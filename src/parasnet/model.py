@@ -61,20 +61,31 @@ class ParasNetModel:
 
 @dataclass
 class ForwardCache:
-    """Everything the backward pass needs, captured during forward."""
+    """Everything the backward pass needs, captured during forward.
+
+    backward_batch consumes the cache: it writes each stage's gradient
+    over that stage's conv output, so a second backward_batch on the same
+    cache raises ValueError, and conv_pre holds gradients once it ran.
+    """
 
     # per stage: the conv input (the batch, then the rectified pooled maps)
     inputs: list[np.ndarray]
-    # per stage: the conv output before ReLU (a view of the valid region
-    # of its input's grid, see batched.py), and relu(maxpool(conv_pre)),
-    # from which backward recomputes the pooling winners
-    conv_pre: list[np.ndarray]
+    # per stage: the conv output before ReLU on its input's grid, as
+    # batched.conv_forward returns it, and relu(maxpool(conv_pre)), from
+    # which backward recomputes the pooling winners
+    conv_grid: list[np.ndarray]
     pooled: list[np.ndarray]
     flat: np.ndarray
     dense1_pre: np.ndarray
     drop_mask: np.ndarray | None
     dropped: np.ndarray
     probs: np.ndarray
+    consumed: bool = False
+
+    @property
+    def conv_pre(self) -> list[np.ndarray]:
+        """Per stage, the valid region of the conv output (see batched.py)."""
+        return [g[:, :-2, :-2] for g in self.conv_grid]
 
 
 def glorot_bound(fan_in: int, fan_out: int) -> float:
@@ -261,7 +272,7 @@ def forward_batch(
         raise ValueError("empty batch: forward_batch needs at least one image")
     layer_shapes(model.filters, *x.shape[1:3])  # raises for an input too small
     pool = batched.maxpool_forward if want_cache else batched.maxpool_infer
-    conv_pre = []
+    conv_grid = []
     pooled = []
     # with one channel, x is already a channel-major map
     h = x
@@ -269,13 +280,13 @@ def forward_batch(
         if not want_cache and stage < FUSED_STAGES:
             h = batched.conv_pool_relu(h, k, b)
             continue
-        a = batched.conv_forward(h, k, b, helper=helper)[:, : h.shape[1] - 2, : h.shape[2] - 2]
+        g = batched.conv_forward(h, k, b, helper=helper)
         # pool, then ReLU on the 4x smaller map: ReLU is monotone, so
         # both orders give exactly the same values
-        h = pool(a, helper=helper)
+        h = pool(g[:, : h.shape[1] - 2, : h.shape[2] - 2], helper=helper)
         np.maximum(h, 0, out=h)
         if want_cache:
-            conv_pre.append(a)
+            conv_grid.append(g)
             pooled.append(h)
     # the (batch, h, w, c) view flattens in NHWC order, as the dense
     # weights expect
@@ -294,7 +305,7 @@ def forward_batch(
     dense1_pre, hidden, dropped, mask, probs = _head(model, flat, mode, rng, dropout_rate)
     cache = ForwardCache(
         inputs=[x, *pooled[:-1]],
-        conv_pre=conv_pre,
+        conv_grid=conv_grid,
         pooled=pooled,
         flat=flat,
         dense1_pre=dense1_pre,
@@ -315,8 +326,16 @@ def backward_batch(
 
     d_probs is the loss gradient with respect to the softmax output,
     already carrying any 1/batch scaling the loss applies. A helper
-    shares the conv and pool kernels' work (see batched.py).
+    shares the conv and pool kernels' work (see batched.py). The cache's
+    conv outputs end up holding their gradients, so a consumed cache
+    raises ValueError rather than pass gradients off as activations.
     """
+    if cache.consumed:
+        raise ValueError(
+            "backward_batch already ran on this cache and wrote gradients over its conv "
+            "outputs; run forward_batch again for a fresh cache"
+        )
+    cache.consumed = True
     d_logits = batched.softmax_rows_backward(cache.probs, d_probs)
     d_dropped, d_w2, d_b2 = batched.dense_backward(
         cache.dropped, model.dense2_weights, d_logits
@@ -331,11 +350,11 @@ def backward_batch(
     )
     grads: list[np.ndarray] = [d_w1, d_b1, d_w2, d_b2]
     d_pool = d_flat.reshape(cache.pooled[-1].shape)
+    conv_pre = cache.conv_pre
     for i in range(4, -1, -1):
-        conv_pre = cache.conv_pre[i]
         x = cache.inputs[i]
         d_conv = batched.maxpool_backward(
-            conv_pre.shape, conv_pre, cache.pooled[i], d_pool, x.shape[1:3], helper=helper
+            conv_pre[i].shape, cache.conv_grid[i], cache.pooled[i], d_pool, helper=helper
         )
         d_pool, d_kernels, d_bias = batched.conv_backward(
             x.shape,
@@ -355,11 +374,11 @@ def train_step_bytes(filters: int, batch: int, height: int, width: int, itemsize
     and input size lends from a shards.Helper's arena: the input batch
     and, per stage, batched.train_stage_bytes. The arena lends them in
     order and takes none back before the next step, so a step at this
-    batch size or below fills no more than this."""
+    batch size fills exactly this, and a smaller one less."""
     total = shards.aligned(batch * height * width * itemsize)
     h, w, c_in = height, width, 1
-    for _ in range(5):
-        total += batched.train_stage_bytes(batch, h, w, c_in, filters, itemsize)
+    for stage in range(5):
+        total += batched.train_stage_bytes(batch, h, w, c_in, filters, itemsize, stage > 0)
         h, w, c_in = max(h - 2, 0) // 2, max(w - 2, 0) // 2, filters
     return total
 

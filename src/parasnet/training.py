@@ -260,7 +260,7 @@ def augment(image: np.ndarray, rng: np.random.Generator | Drawn) -> np.ndarray:
 class TrainConfig:
     epochs: int = 30
     # the images of one Adam step; at 244x324 and F=8 a step of 8 lends
-    # about 70 MB from fit's helper arena (model.train_step_bytes)
+    # about 42 MB from fit's helper arena (model.train_step_bytes)
     batch_size: int = 8
     learning_rate: float = 0.001
     seed: int = 0

@@ -1,6 +1,9 @@
 """The batched kernels must agree with the single-image ones."""
 
+import tracemalloc
+
 import numpy as np
+import pytest
 
 from parasnet import batched
 from parasnet import model
@@ -70,6 +73,32 @@ def test_conv_backward_can_skip_input_gradient():
     assert d_kernels.shape == kernels.shape
 
 
+def _on_grid(x, rows, cols, fill=np.nan):
+    """A fresh channel-major (b, rows, cols, c) map whose [:, :h, :w] is
+    x and whose rest is fill, as conv_forward lays out its output."""
+    b, h, w, c = x.shape
+    grid = np.full((c, b, rows, cols), fill, x.dtype).transpose(1, 2, 3, 0)
+    grid[:, :h, :w] = x
+    return grid
+
+
+def _unpool_reference(x, pooled, upstream, rows, cols):
+    """maxpool_backward's arithmetic into a fresh NHWC array: the same
+    elementwise operations, in the same cell order, on whole maps."""
+    b, h, w, c = x.shape
+    h2, w2 = 2 * (h // 2), 2 * (w // 2)
+    d = np.zeros((b, rows, cols, c), upstream.dtype)
+    rest = upstream * (pooled > 0)
+    for k, (di, dj) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+        cell = x[:, di:h2:2, dj:w2:2]
+        if k < 3:
+            d[:, di:h2:2, dj:w2:2] = rest * (cell == pooled)
+            rest -= d[:, di:h2:2, dj:w2:2]
+        else:
+            d[:, di:h2:2, dj:w2:2] = rest
+    return d
+
+
 def test_maxpool_matches_single_image_kernel():
     # maxpool_backward differentiates relu(maxpool(x)), so the reference
     # is the single-image pool's backward on relu(x)
@@ -86,7 +115,7 @@ def test_maxpool_matches_single_image_kernel():
             np.testing.assert_array_equal(pooled[i], ops.maxpool_2x2(x[i]))
         np.maximum(pooled, 0, out=pooled)
         upstream = rng.integers(-3, 4, size=pooled.shape).astype(np.float32)
-        d_input = batched.maxpool_backward(x.shape, x, pooled, upstream, (h, w))
+        d_input = batched.maxpool_backward(x.shape, _on_grid(x, h, w), pooled, upstream)
         assert d_input.shape == x.shape
         for i in range(b):
             relu = np.maximum(x[i], 0)
@@ -95,17 +124,71 @@ def test_maxpool_matches_single_image_kernel():
 
 
 def test_maxpool_backward_puts_the_gradient_on_a_larger_grid():
-    # a conv output lies on its input's grid, and so does its gradient
+    # a conv output lies on its input's grid, and so does its gradient;
+    # the NaN outside x's region must all be overwritten by zeros
     rng = np.random.default_rng(10)
     for h, w in ((7, 9), (8, 8)):
         x = rng.integers(-2, 3, size=(2, h, w, 3)).astype(np.float32)
         pooled = np.maximum(batched.maxpool_forward(x), 0)
         upstream = rng.integers(-3, 4, size=pooled.shape).astype(np.float32)
-        d_grid = batched.maxpool_backward(x.shape, x, pooled, upstream, (h + 2, w + 2))
-        assert d_grid.shape == (2, h + 2, w + 2, 3)
+        grid = _on_grid(x, h + 2, w + 2)
+        d_grid = batched.maxpool_backward(x.shape, grid, pooled, upstream)
+        assert d_grid is grid and d_grid.shape == (2, h + 2, w + 2, 3)
         expect = np.zeros(d_grid.shape, np.float32)
-        expect[:, :h, :w] = batched.maxpool_backward(x.shape, x, pooled, upstream, (h, w))
+        expect[:, :h, :w] = batched.maxpool_backward(x.shape, _on_grid(x, h, w), pooled, upstream)
         np.testing.assert_array_equal(d_grid, expect)
+
+
+@pytest.mark.parametrize("block_values", [None, 5])
+def test_maxpool_backward_in_place_matches_an_out_of_place_reference(monkeypatch, block_values):
+    # writing over the conv output it compares must leave the same bytes,
+    # signed zeros included, as the same arithmetic into a fresh array;
+    # blocks of 5 values pool one plane at a time
+    if block_values is not None:
+        monkeypatch.setattr(batched, "_BLOCK_VALUES", block_values)
+    rng = np.random.default_rng(12)
+    for h, w in ((6, 8), (7, 9), (6, 9), (7, 8), (3, 2), (2, 5)):
+        for extra in (0, 1, 3):
+            b, c = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            # tie-heavy integers, and continuous values
+            for x in (rng.integers(-2, 3, size=(b, h, w, c)).astype(np.float32),
+                      rng.standard_normal((b, h, w, c)).astype(np.float32)):
+                pooled = np.maximum(batched.maxpool_forward(x), 0)
+                upstream = rng.standard_normal(pooled.shape).astype(np.float32)
+                rows, cols = h + extra, w + 2 * extra
+                want = _unpool_reference(x, pooled, upstream, rows, cols)
+                got = batched.maxpool_backward(x.shape, _on_grid(x, rows, cols), pooled, upstream)
+                assert got.tobytes() == np.ascontiguousarray(want).tobytes(), (h, w, extra)
+
+
+def test_maxpool_backward_refuses_a_map_it_cannot_write_in_place():
+    # an NHWC array's planes are a copy; the gradient written there would
+    # be lost
+    x = np.ones((2, 4, 4, 3), np.float32)
+    pooled = np.maximum(batched.maxpool_forward(x), 0)
+    with pytest.raises(ValueError, match="channel-major"):
+        batched.maxpool_backward(x.shape, x, pooled, np.ones_like(pooled))
+
+
+def test_backward_batch_allocates_no_full_size_map():
+    # maxpool_backward writes over the cached conv outputs, so backward's
+    # largest allocation is layer 2's d_input, far below one layer-1 conv
+    # output; a fresh gradient map per stage would exceed it
+    net = model.build_model(8, seed=3)
+    x = np.random.default_rng(3).random((2, model.INPUT_HEIGHT, model.INPUT_WIDTH, 1),
+                                        dtype=np.float32)
+    probs, _, cache = model.forward_batch(net, x, mode="train", rng=np.random.default_rng(0),
+                                          want_cache=True)
+    conv1_bytes = cache.conv_grid[0].nbytes
+    d_probs = np.full_like(probs, 0.5)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        model.backward_batch(net, cache, d_probs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < conv1_bytes, (peak - before, conv1_bytes)
 
 
 def test_kernels_match_the_references_across_block_boundaries(monkeypatch):
@@ -149,12 +232,12 @@ def test_kernels_agree_on_nhwc_arrays_and_channel_major_views():
             np.testing.assert_array_equal(pool(valid_cm), pool(valid))
         pooled = np.ascontiguousarray(np.maximum(batched.maxpool_forward(valid), 0))
         d_pool = rng.standard_normal(pooled.shape).astype(np.float32)
+        # it writes over its conv output map, which must be channel-major
         np.testing.assert_array_equal(
             batched.maxpool_backward(
-                valid.shape, valid_cm, _channel_major(pooled), _channel_major(d_pool),
-                (9, 11),
+                valid.shape, _channel_major(out), _channel_major(pooled), _channel_major(d_pool)
             ),
-            batched.maxpool_backward(valid.shape, valid, pooled, d_pool, (9, 11)),
+            batched.maxpool_backward(valid.shape, _channel_major(out), pooled, d_pool),
         )
 
 

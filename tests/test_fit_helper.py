@@ -20,14 +20,20 @@ from parasnet import training as tr
 
 class CountingHelper(shards.Helper):
     """A Helper that counts the calls this process hands it, and the
-    arrays it lends from its arena and those it had no room for."""
+    arrays it lends from its arena and those it had no room for, and
+    records how far each step filled the arena."""
 
     made: list = []
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.calls = self.lent = self.private = 0
+        self.tops: list[int] = []
         CountingHelper.made.append(self)
+
+    def reset(self):
+        self.tops.append(self._top)
+        super().reset()
 
     def submit(self, fn, *args):
         self.calls += 1
@@ -91,9 +97,13 @@ class TestSplitStep:
     @pytest.mark.parametrize("filters", [1, 2, 8])
     def test_every_step_fits_in_the_arena(self, cpus, monkeypatch, filters, dtype):
         # model.train_step_bytes sizes the arena; an array it does not
-        # count would come back private, and its work would run here alone
+        # count would come back private, and its work would run here
+        # alone, while bytes it counts that no step lends would sit idle:
+        # a full batch must fill the arena exactly
         cpus(2)
         monkeypatch.setattr(shards, "Helper", CountingHelper)
+        step_bytes = pm.train_step_bytes(filters, 8, INPUT_HEIGHT, INPUT_WIDTH,
+                                         np.dtype(dtype).itemsize)
         # at batch 8, last batches of one, five and eight images
         for n in (9, 13, 16):
             CountingHelper.made = []
@@ -102,6 +112,8 @@ class TestSplitStep:
                    test_images.astype(dtype), test_labels, tr.TrainConfig(epochs=1))
             (helper,) = CountingHelper.made
             assert helper.lent > 0 and helper.private == 0, (n, helper.lent, helper.private)
+            # the first step, of 8 images, ends at the second reset
+            assert helper.tops[1] == step_bytes == len(helper._arena), (n, helper.tops)
         assert no_children()
 
     def test_a_killed_helper_fails_the_fit_promptly(self, cpus, monkeypatch):

@@ -335,6 +335,19 @@ class TestBackward:
         grads = pm.backward_batch(m, cache, np.ones_like(probs))
         assert len(grads) == 14
 
+    def test_a_consumed_cache_is_refused(self):
+        # backward writes each stage's gradient over its cached conv
+        # output, so a second pass would read gradients as activations
+        m = pm.build_model(2, seed=9, height=94, width=94)
+        x = np.random.default_rng(3).random((2, 94, 94, 1), dtype=np.float32)
+        probs, _, cache = pm.forward_batch(m, x, want_cache=True)
+        first = pm.backward_batch(m, cache, np.ones_like(probs))
+        with pytest.raises(ValueError, match="already ran on this cache"):
+            pm.backward_batch(m, cache, np.ones_like(probs))
+        _, _, fresh = pm.forward_batch(m, x, want_cache=True)
+        for got, want in zip(pm.backward_batch(m, fresh, np.ones_like(probs)), first, strict=True):
+            assert got.tobytes() == want.tobytes()
+
 
 class TestCheckpoint:
     def test_round_trip_is_bit_exact(self, tmp_path):
