@@ -60,42 +60,20 @@ Every kernel but maxpool_backward, which writes over its conv output
 map, allocates its outputs fresh, and none keeps state between calls,
 so callers in different threads share no buffers.
 
-Given a shards.Helper, as training.fit's steps are, a kernel allocates
-the arrays the helper may write in the helper's arena and, when its
-output holds at least _SHARED_VALUES values, shares its work with the
-helper: the conv and pool kernels give it the later half of their
-blocks, and conv_backward its per-block d_kernels terms while this
-process computes d_input. Every block keeps its bounds and every sum its
-order, so each value comes from the same numpy or BLAS call on the same
-operands as without a helper, and the outputs are byte-identical. The
-arena takes its bytes back only all at once, between training steps,
-so each kernel lends what train_stage_bytes counts and no more.
+Every kernel runs in the calling process alone: training.fit spreads a
+step over two CPUs by running each half of the batch, whole, in its own
+process, not by sharing out a kernel's blocks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import shards
-
 # always empty; perfbench/run.py --trace 1 still reports its size
 _scratch: dict = {}
 
 # 2**15 float32 values are 128 KB: a block's few operands fit in L2
 _BLOCK_VALUES = 1 << 15
-
-
-# a kernel shares its blocks with a helper only when its output holds at
-# least this many values: at 244x324 and batch 8, layers 1-3 do, while
-# layers 4 and 5 ran slower shared, the round trip costing more than half
-# their work
-_SHARED_VALUES = 1 << 17
-
-
-def _sharing(helper: shards.Helper | None, values: int) -> shards.Helper | None:
-    """helper, to share a kernel's work with, if the kernel's output holds
-    at least _SHARED_VALUES values."""
-    return helper if values >= _SHARED_VALUES else None
 
 
 def _blocks(n: int, size: int) -> list[tuple[int, int]]:
@@ -151,72 +129,23 @@ def _tap_sum(taps, reads, a, e, out) -> None:
         out += taps[t].T @ m[:, s + a:s + e]
 
 
-def train_stage_bytes(
-    b: int, h: int, w: int, c_in: int, c_out: int, itemsize: int, need_input_grad: bool
-) -> int:
-    """The arena bytes that one conv/pool stage of a training step, input
-    (b, h, w, c_in), lends from a helper: conv_forward's output on the
-    input grid, which maxpool_backward then overwrites with its gradient,
-    the pooled map, and conv_backward's d_kernels terms and, given
-    need_input_grad, as for every stage but a network's first, its
-    d_input. Each array takes its aligned bytes, so a step lends exactly
-    the sum."""
-    grid = b * h * w
-    pooled = b * (max(h - 2, 0) // 2) * (max(w - 2, 0) // 2)
-    blocks = len(_blocks(grid - _shifts(w)[-1], max(c_in, c_out)))
-    values = [c_out * grid, c_out * pooled, blocks * 9 * c_in * c_out]
-    if need_input_grad:
-        values.append(c_in * grid)
-    return sum(shards.aligned(v * itemsize) for v in values)
-
-
-def _conv_blocks(xm, taps, bias, om, shifts, blocks) -> None:
-    """conv_forward's output columns, block by block."""
-    reads = [(xm, s) for s in shifts]
-    for a, e in blocks:
-        block = om[:, a:e]
-        _tap_sum(taps, reads, a, e, block)
-        block += bias[:, None]
-
-
-def conv_forward(
-    x: np.ndarray, kernels: np.ndarray, bias: np.ndarray, helper: shards.Helper | None = None
-) -> np.ndarray:
+def conv_forward(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Valid 3x3 convolution over a batch. Returns a fresh channel-major
     (batch, h, w, filters) map on x's grid, whose valid output is
-    [:, :h-2, :w-2]. A helper takes half the column blocks."""
+    [:, :h-2, :w-2]."""
     b, h, w, c_in = x.shape
     taps = kernels.reshape(9, c_in, -1)
     shifts = _shifts(w)
     xm = _matrix(x)
     n = xm.shape[1] - shifts[-1]
-    om = shards.empty(helper, (taps.shape[2], xm.shape[1]), np.result_type(x, kernels))
-    blocks = _blocks(n, max(taps.shape[1:]))
-    shards.split(_sharing(helper, om.size), _conv_blocks, (xm, taps, bias, om, shifts), blocks,
-                 (om,))
+    om = np.empty((taps.shape[2], xm.shape[1]), np.result_type(x, kernels))
+    reads = [(xm, s) for s in shifts]
+    for a, e in _blocks(n, max(taps.shape[1:])):
+        block = om[:, a:e]
+        _tap_sum(taps, reads, a, e, block)
+        block += bias[:, None]
     om[:, n:] = 0
     return _as_map(om, b, h, w)
-
-
-def _tap_terms(xm, up, terms, shifts, blocks, items) -> None:
-    """The d_kernels terms of the blocks numbered in items, into terms,
-    each in taps' (9, c_in, c_out) shape."""
-    for k in items:
-        a, e = blocks[k]
-        u = up[:, a:e]
-        if xm.shape[0] == 1:
-            terms[k] = (_windows([(xm, s) for s in shifts], a, e) @ u.T)[:, None]
-        else:
-            terms[k] = np.stack([xm[:, s + a:s + e] @ u.T for s in shifts])
-
-
-def _input_grad(taps, up, dm, shifts, blocks) -> None:
-    """conv_backward's d_input: each tap scattered back onto the input
-    columns it read, block by block and tap by tap."""
-    for a, e in blocks:
-        u = up[:, a:e]
-        for t, s in enumerate(shifts):
-            dm[:, s + a:s + e] += taps[t] @ u
 
 
 def conv_backward(
@@ -225,15 +154,12 @@ def conv_backward(
     kernels: np.ndarray,
     upstream: np.ndarray,
     need_input_grad: bool = True,
-    helper: shards.Helper | None = None,
 ):
     """Gradients of conv_forward; x is the layer's input, of shape x_shape,
     and upstream the output's gradient on x's grid, zero outside its valid
     region. d_input, channel-major, is skipped (None) for the first layer
     of a network. d_kernels is the sum, in block order, of one term per
-    column block. A helper computes every term while this process
-    computes d_input; with no d_input, the two share out the terms. Each
-    sum keeps its order."""
+    column block."""
     b, h, w, c_in = x_shape
     taps = kernels.reshape(9, c_in, -1)
     shifts = _shifts(w)
@@ -242,21 +168,23 @@ def conv_backward(
     n = xm.shape[1] - shifts[-1]
     blocks = _blocks(n, max(taps.shape[1:]))
 
-    # every block's d_kernels term, added up below in block order
-    terms = shards.empty(helper, (len(blocks), *taps.shape), np.result_type(x, upstream))
-    args, items = (xm, up, terms, shifts, blocks), range(len(blocks))
-    sharing = _sharing(helper, up.size)
+    d_taps = np.zeros(taps.shape, np.result_type(x, upstream))
+    for a, e in blocks:
+        u = up[:, a:e]
+        if c_in == 1:
+            d_taps += (_windows([(xm, s) for s in shifts], a, e) @ u.T)[:, None]
+        else:
+            d_taps += np.stack([xm[:, s + a:s + e] @ u.T for s in shifts])
     d_input = None
     if need_input_grad:
-        dm = shards.zeros(helper, xm.shape, upstream.dtype)
-        shards.beside(sharing, (_tap_terms, (*args, items), (terms,)),
-                      (_input_grad, (taps, up, dm, shifts, blocks)))
+        # each tap scattered back onto the input columns it read, block by
+        # block and tap by tap
+        dm = np.zeros(xm.shape, upstream.dtype)
+        for a, e in blocks:
+            u = up[:, a:e]
+            for t, s in enumerate(shifts):
+                dm[:, s + a:s + e] += taps[t] @ u
         d_input = _as_map(dm, b, h, w)
-    else:
-        shards.split(sharing, _tap_terms, args, items, (terms,))
-    d_taps = np.zeros(taps.shape, terms.dtype)
-    for term in terms:
-        d_taps += term
     return d_input, d_taps.reshape(kernels.shape), up.sum(axis=1)
 
 
@@ -266,25 +194,20 @@ def _pool_cells(planes: np.ndarray):
     return grid[:, 0::2, 0::2], grid[:, 0::2, 1::2], grid[:, 1::2, 0::2], grid[:, 1::2, 1::2]
 
 
-def _pool_blocks(xp, op, blocks) -> None:
-    for a, e in blocks:
+def maxpool_forward(x: np.ndarray) -> np.ndarray:
+    """2x2/stride-2 max pooling; the output is a fresh channel-major map.
+
+    It records no winners: maxpool_backward recomputes them from x and
+    the output.
+    """
+    b, h, w, c = x.shape
+    xp = _planes(x)
+    op = np.empty((c * b, h // 2, w // 2), x.dtype)
+    for a, e in _blocks(len(op), op[0].size):
         cells, block = _pool_cells(xp[a:e]), op[a:e]
         np.maximum(cells[0], cells[1], out=block)
         np.maximum(block, cells[2], out=block)
         np.maximum(block, cells[3], out=block)
-
-
-def maxpool_forward(x: np.ndarray, helper: shards.Helper | None = None) -> np.ndarray:
-    """2x2/stride-2 max pooling; the output is a fresh channel-major map.
-
-    It records no winners: maxpool_backward recomputes them from x and
-    the output. A helper takes half the plane blocks.
-    """
-    b, h, w, c = x.shape
-    xp = _planes(x)
-    op = shards.empty(helper, (c * b, h // 2, w // 2), x.dtype)
-    shards.split(_sharing(helper, x.size), _pool_blocks, (xp, op), _blocks(len(op), op[0].size),
-                 (op,))
     return _as_map(op, b, h // 2, w // 2)
 
 
@@ -372,31 +295,11 @@ def conv_pool_relu(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.n
     return _as_map(out, b, *out.shape[2:])
 
 
-def _unpool_blocks(gp, pp, up, h, w, blocks) -> None:
-    """maxpool_backward's planes, block by block, over the conv output
-    planes gp: each cell is compared before it is written."""
-    for a, e in blocks:
-        gp[a:e, 2 * (h // 2):] = 0
-        gp[a:e, :, 2 * (w // 2):] = 0
-        # rest holds what no earlier cell took; a winner's value is
-        # subtracted exactly, leaving 0
-        rest = up[a:e] * (pp[a:e] > 0)
-        hit = np.empty(rest.shape, bool)
-        cells = _pool_cells(gp[a:e, :h, :w])
-        for cell in cells[:3]:
-            np.equal(cell, pp[a:e], out=hit)
-            np.multiply(rest, hit, out=cell)
-            rest -= cell
-        # any gradient still left belongs to the last cell
-        cells[3][...] = rest
-
-
 def maxpool_backward(
     x_shape: tuple[int, ...],
     grid: np.ndarray,
     pooled: np.ndarray,
     upstream: np.ndarray,
-    helper: shards.Helper | None = None,
 ) -> np.ndarray:
     """Gradient of relu(maxpool_forward(x)) with respect to x, of shape
     x_shape, written over x in place. grid is a channel-major (batch,
@@ -410,16 +313,28 @@ def maxpool_backward(
     pooled is the rectified pool output. Each window's upstream gradient
     goes to its first cell, in row-major window order, whose value equals
     pooled, and only where pooled > 0: ReLU blocks it elsewhere. A
-    trailing row or column the windows do not cover gets zero. A helper
-    takes half the plane blocks.
+    trailing row or column the windows do not cover gets zero. Each cell
+    is compared before it is written.
     """
     h, w = x_shape[1:3]
     gp = _planes(grid)
     if not np.may_share_memory(gp, grid):
         raise ValueError("maxpool_backward writes over grid, which must be a channel-major map")
     pp, up = _planes(pooled), _planes(upstream)
-    blocks = _blocks(len(pp), pp[0].size)
-    shards.split(_sharing(helper, gp.size), _unpool_blocks, (gp, pp, up, h, w), blocks, (gp,))
+    for a, e in _blocks(len(pp), pp[0].size):
+        gp[a:e, 2 * (h // 2):] = 0
+        gp[a:e, :, 2 * (w // 2):] = 0
+        # rest holds what no earlier cell took; a winner's value is
+        # subtracted exactly, leaving 0
+        rest = up[a:e] * (pp[a:e] > 0)
+        hit = np.empty(rest.shape, bool)
+        cells = _pool_cells(gp[a:e, :h, :w])
+        for cell in cells[:3]:
+            np.equal(cell, pp[a:e], out=hit)
+            np.multiply(rest, hit, out=cell)
+            rest -= cell
+        # any gradient still left belongs to the last cell
+        cells[3][...] = rest
     return grid
 
 

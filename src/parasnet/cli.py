@@ -122,7 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
              "batch inference, baseline-train's SIFT pass and baseline-eval (and "
              "in-memory generation in the library) then share their images with "
              "one forked child per further usable CPU (taskset limits them), and "
-             "training steps with one forked helper, all with byte-identical output",
+             "training runs the second half of each step's batch in one forked "
+             "helper, all with byte-identical output",
     )
 
     train_opts = argparse.ArgumentParser(add_help=False)

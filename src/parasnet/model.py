@@ -252,14 +252,12 @@ def forward_batch(
     rng: np.random.Generator | None = None,
     dropout_rate: float = DROPOUT_RATE,
     want_cache: bool = False,
-    helper: shards.Helper | None = None,
 ):
     """Run a batch through the network.
 
     Returns (probs, hidden) where probs is (B, 3) and hidden is the
     (B, 128) post-ReLU representation. With want_cache=True a third
-    element carries intermediates for backward_batch. A helper shares
-    the conv and pool kernels' work (see batched.py).
+    element carries intermediates for backward_batch.
 
     Without want_cache, stages 1 to FUSED_STAGES run as one
     batched.conv_pool_relu each, and the dense head takes one image at
@@ -280,10 +278,10 @@ def forward_batch(
         if not want_cache and stage < FUSED_STAGES:
             h = batched.conv_pool_relu(h, k, b)
             continue
-        g = batched.conv_forward(h, k, b, helper=helper)
+        g = batched.conv_forward(h, k, b)
         # pool, then ReLU on the 4x smaller map: ReLU is monotone, so
         # both orders give exactly the same values
-        h = pool(g[:, : h.shape[1] - 2, : h.shape[2] - 2], helper=helper)
+        h = pool(g[:, : h.shape[1] - 2, : h.shape[2] - 2])
         np.maximum(h, 0, out=h)
         if want_cache:
             conv_grid.append(g)
@@ -320,13 +318,11 @@ def backward_batch(
     model: ParasNetModel,
     cache: ForwardCache,
     d_probs: np.ndarray,
-    helper: shards.Helper | None = None,
 ) -> list[np.ndarray]:
     """Gradients with respect to every parameter, in parameters() order.
 
     d_probs is the loss gradient with respect to the softmax output,
-    already carrying any 1/batch scaling the loss applies. A helper
-    shares the conv and pool kernels' work (see batched.py). The cache's
+    already carrying any 1/batch scaling the loss applies. The cache's
     conv outputs end up holding their gradients, so a consumed cache
     raises ValueError rather than pass gradients off as activations.
     """
@@ -354,33 +350,14 @@ def backward_batch(
     for i in range(4, -1, -1):
         x = cache.inputs[i]
         d_conv = batched.maxpool_backward(
-            conv_pre[i].shape, cache.conv_grid[i], cache.pooled[i], d_pool, helper=helper
+            conv_pre[i].shape, cache.conv_grid[i], cache.pooled[i], d_pool
         )
         d_pool, d_kernels, d_bias = batched.conv_backward(
-            x.shape,
-            x,
-            model.conv_kernels[i],
-            d_conv,
-            need_input_grad=(i > 0),
-            helper=helper,
+            x.shape, x, model.conv_kernels[i], d_conv, need_input_grad=(i > 0)
         )
         grads.insert(0, d_bias)
         grads.insert(0, d_kernels)
     return grads
-
-
-def train_step_bytes(filters: int, batch: int, height: int, width: int, itemsize: int) -> int:
-    """The bytes of the arrays that one training step at this batch size
-    and input size lends from a shards.Helper's arena: the input batch
-    and, per stage, batched.train_stage_bytes. The arena lends them in
-    order and takes none back before the next step, so a step at this
-    batch size fills exactly this, and a smaller one less."""
-    total = shards.aligned(batch * height * width * itemsize)
-    h, w, c_in = height, width, 1
-    for stage in range(5):
-        total += batched.train_stage_bytes(batch, h, w, c_in, filters, itemsize, stage > 0)
-        h, w, c_in = max(h - 2, 0) // 2, max(w - 2, 0) // 2, filters
-    return total
 
 
 def _forward_range(

@@ -29,11 +29,9 @@ Two users build on it:
   their images straight into one array over a shared mapping made
   before the fork (shared_empty), and send back nothing.
 - A Helper is one child that lives as long as a with block and runs
-  calls for the parent over arrays in an anonymous shared mapping (the
-  arena) made before the fork; split and beside hand it part of a
-  kernel's work. training.fit splits every training step with one. The
-  arena lends its bytes in order and takes them all back at once, at
-  reset, between steps: every array a step lends dies when it returns.
+  method calls, by name, on an object it holds from the fork, one pickle
+  each way a call. training.fit runs half of every training step's batch
+  in one: its augmentation, forward and backward.
 """
 
 from __future__ import annotations
@@ -47,7 +45,6 @@ import select
 import signal
 import time
 import struct
-import weakref
 from typing import Callable
 
 import numpy as np
@@ -57,18 +54,11 @@ import numpy as np
 # 6 images each of serial inference, and 16 each ran x1.1-1.2
 MIN_IMAGES_PER_SHARD = 16
 
-# arena arrays start on a cache line
-ALIGN = 64
-
-# an array that is neither in a Helper's arena nor inherited goes to the
-# helper by value (a layer's conv kernels, say) only up to this size
-SEND_LIMIT = 1 << 20
-
 # a Helper polls its pipe this many seconds after each call before it
 # sleeps on it: on a 2-CPU KVM guest a call reached a busy helper in
-# 36-40 us and one that had slept 2 ms in 137-145 us (medians), a step
-# makes about 15 calls, and polling made fit epochs 4-13% faster in 4
-# interleaved rounds
+# 36-40 us and one that had slept 2 ms in 137-145 us (medians); with a
+# call per kernel, about 15 a step, polling made fit epochs 4-13% faster
+# in 4 interleaved rounds
 HELPER_SPIN = 0.003
 
 # set in every forked child, so that a child never forks
@@ -280,11 +270,6 @@ def shared_empty(shape, dtype) -> np.ndarray:
     return np.frombuffer(mapping, dtype, size).reshape(shape)
 
 
-def aligned(nbytes: int) -> int:
-    """nbytes rounded up to a whole number of ALIGN-byte lines."""
-    return -(-nbytes // ALIGN) * ALIGN
-
-
 # the argument types of the glibc malloc functions _glibc calls
 _GLIBC_ARGTYPES = {"malloc_trim": [ctypes.c_size_t], "mallopt": [ctypes.c_int, ctypes.c_int]}
 
@@ -299,74 +284,39 @@ def _glibc(name: str, *args) -> None:
     fn(*args)
 
 
-class _Ref(tuple):
-    """Stands for an argument the helper already has: ("arena", offset,
-    shape, strides, dtype) for an arena array, ("inherited", k) for the
-    k-th inherited object."""
-
-
-def _resolve(arg, arena: mmap.mmap, inherited: tuple):
-    if not isinstance(arg, _Ref):
-        return arg
-    if arg[0] == "inherited":
-        return inherited[arg[1]]
-    _, offset, shape, strides, dtype = arg
-    return np.ndarray(shape, dtype, buffer=arena, offset=offset, strides=strides)
-
-
-def _serve(arena: mmap.mmap, inherited: tuple, inbox: int, outbox: int) -> None:
-    """The helper's loop: run each call the parent sends and answer it,
-    until the parent closes its end of the pipe."""
+def _serve(target, inbox: int, outbox: int) -> None:
+    """The helper's loop: run each method call of target the parent sends
+    and answer it, until the parent closes its end of the pipe."""
     # keep the kernels' temporaries in the heap: glibc maps each one over
     # 128 KB afresh by default, and this process, which has freed none
-    # yet, would fault on every page of every one (about 1,500 faults a
-    # training step at 244x324, F=8, against 300 with this)
+    # yet, would fault on every page of every one
     _glibc("mallopt", _M_MMAP_THRESHOLD, 32 << 20)
     while (message := _receive(inbox, HELPER_SPIN)) is not None:
         try:
-            fn, args = pickle.loads(message)
-            fn(*(_resolve(arg, arena, inherited) for arg in args))
-            answer = _answer(None)
+            name, args = pickle.loads(message)
+            answer = _answer(getattr(target, name)(*args))
         except Exception as exc:
             answer = _failure(exc)
         _send(outbox, answer)
 
 
 class Helper:
-    """One forked child that runs calls for this process, for as long as
-    a with block, over arrays in an arena: an anonymous MAP_SHARED
-    mapping of nbytes made before the fork, so both processes see every
-    write to it.
+    """One forked child that holds target, as this process held it at the
+    fork, and runs its methods for this process for as long as a with
+    block. The child is pinned to a usable CPU of its own (see apart).
 
-    empty lends arena arrays from a bump pointer, each on the next
-    ALIGN-aligned bytes, and reset takes them all back at once, as
-    training._step does at its top; it raises while one of them, or a
-    view of one, is alive. When the arena has no room, empty returns a
-    private array, which the helper cannot write, and split and beside
-    then keep the work in this process.
-
-    submit sends fn and args down a pipe as one pickle: arguments that
-    are arena arrays or inherited objects, which the child has from the
-    fork, go as references, anything else by value. wait blocks until
-    the helper has answered every call submitted. Construct it only where
-    usable() > 1.
+    submit sends a method's name and its arguments down a pipe as one
+    pickle, and result returns the next answer, a pickle too, or raises
+    the call's exception; the child lives on after a call that raised.
+    Whatever the calls need and do not send, such as a training set, the
+    child has from the fork. Construct it only where usable() > 1.
     """
 
-    def __init__(self, nbytes: int, inherited: tuple = ()):
-        # arrays that now live in the arena would otherwise have reused
-        # the heap's freed chunks: give their pages back first, so that the
-        # arena's pages replace them in this process's resident memory
+    def __init__(self, target):
+        # give the heap's free pages back before the fork, so that neither
+        # process keeps them resident
         _glibc("malloc_trim", 0)
-        self._arena = mmap.mmap(-1, max(nbytes, ALIGN))
-        self._address = np.frombuffer(self._arena, np.uint8).ctypes.data
-        # the offset of the next array lent, and a weak reference to each
-        # array lent since the last reset
-        self._top = 0
-        self._lent: list[weakref.ref] = []
-        self._keep = inherited
-        self._inherited = {id(obj): k for k, obj in enumerate(inherited)}
-        self._pending: list[tuple] = []
-        self._child = _Child(_serve, self._arena, inherited)
+        self._child = _Child(_serve, target)
         cpus = sorted(os.sched_getaffinity(0))
         # the usable CPUs, and the one the helper is pinned to (see apart)
         self._cpus, self._cpu = set(cpus), None
@@ -384,80 +334,17 @@ class Helper:
         self.close()
 
     def close(self) -> None:
-        """Kill and reap the helper; the arena lives on while any of its
-        arrays does."""
-        self._pending = []
+        """Kill and reap the helper."""
         self._child.close()
 
-    def empty(self, shape, dtype) -> np.ndarray:
-        """An uninitialised array on the next free arena bytes, or a
-        private one when they are too few."""
-        dtype = np.dtype(dtype)
-        size = int(np.prod(shape)) * dtype.itemsize
-        if not size or self._top + size > len(self._arena):
-            return np.empty(shape, dtype)
-        # the array's base is the mapping itself, so every view of it has
-        # the array as its base, and the weak reference dies only with the
-        # last of them
-        a = np.ndarray(shape, dtype, buffer=self._arena, offset=self._top)
-        self._top += aligned(size)
-        self._lent.append(weakref.ref(a))
-        return a
+    def submit(self, method: str, *args) -> None:
+        """Start target.method(*args) in the helper."""
+        self._child.send(pickle.dumps((method, args), pickle.HIGHEST_PROTOCOL))
 
-    def reset(self) -> None:
-        """Lend from the arena's start again; a RuntimeError if an array
-        lent since the last reset, or a view of one, is still alive, since
-        its bytes would be lent twice."""
-        alive = sum(ref() is not None for ref in self._lent)
-        if alive:
-            raise RuntimeError(f"reset with {alive} lent arena array(s) still alive")
-        self._lent, self._top = [], 0
-
-    def holds(self, a: np.ndarray) -> bool:
-        """Whether a's data lies in the arena: an arena array or a view of one."""
-        offset = a.__array_interface__["data"][0] - self._address
-        return 0 <= offset < len(self._arena)
-
-    def takes(self, args: tuple, writes: tuple) -> bool:
-        """Whether the helper can run a call on args that writes the
-        arrays in writes: they lie in the arena, and every other array
-        lies in it, is inherited, or is small enough to send."""
-        return all(self.holds(a) for a in writes) and all(
-            a.nbytes <= SEND_LIMIT or id(a) in self._inherited or self.holds(a)
-            for a in args if isinstance(a, np.ndarray)
-        )
-
-    def submit(self, fn: Callable, *args) -> None:
-        """Start fn(*args) in the helper; fn must be importable by name."""
-        refs = tuple(self._ref(arg) for arg in args)
-        # the arrays stay alive, so that reset refuses to lend their bytes
-        # again, until the helper has answered
-        self._pending.append(args)
-        self._child.send(pickle.dumps((fn, refs), pickle.HIGHEST_PROTOCOL))
-
-    def _ref(self, arg):
-        """arg as the helper is sent it: a _Ref for an arena array or an
-        inherited object, itself for anything else."""
-        if id(arg) in self._inherited:
-            return _Ref(("inherited", self._inherited[id(arg)]))
-        if isinstance(arg, np.ndarray) and self.holds(arg):
-            offset = arg.__array_interface__["data"][0] - self._address
-            return _Ref(("arena", offset, arg.shape, arg.strides, arg.dtype))
-        return arg
-
-    def wait(self) -> None:
-        """Block until every submitted call has returned; raise the first
-        one's exception, or a ChildProcessError if the helper died."""
-        pending, self._pending = self._pending, []
-        failure = None
-        for _ in pending:
-            message = self._child.message()
-            try:
-                _outcome(message)
-            except Exception as exc:
-                failure = failure or exc
-        if failure is not None:
-            raise failure
+    def result(self):
+        """The value of the oldest call not yet answered, or its exception
+        raised; a ChildProcessError if the helper died."""
+        return self._child.receive()
 
 
 @contextlib.contextmanager
@@ -468,9 +355,9 @@ def apart(helper: Helper | None):
     keeps the others only inside the block, so that work outside it,
     such as map_ranges, still sees every usable CPU. Unpinned, the two
     often ran on one CPU, as if Linux woke the helper where the pipe's
-    writer ran: on a 2-CPU KVM guest, layer 1's split pool forward took
-    5.1-7.2 ms unpinned, like its 3.6-9.1 ms serially, and 3.2-4.5 ms
-    pinned."""
+    writer ran: on a 2-CPU KVM guest, layer 1's pool forward, split
+    between the two, took 5.1-7.2 ms unpinned, like its 3.6-9.1 ms
+    serially, and 3.2-4.5 ms pinned."""
     if helper is None or helper._cpu is None:
         yield
         return
@@ -479,43 +366,3 @@ def apart(helper: Helper | None):
         yield
     finally:
         os.sched_setaffinity(0, helper._cpus)
-
-
-def empty(helper: Helper | None, shape, dtype) -> np.ndarray:
-    """np.empty(shape, dtype), in the helper's arena when there is one."""
-    return np.empty(shape, dtype) if helper is None else helper.empty(shape, dtype)
-
-
-def zeros(helper: Helper | None, shape, dtype) -> np.ndarray:
-    out = empty(helper, shape, dtype)
-    out[...] = 0
-    return out
-
-
-def beside(helper: Helper | None, theirs: tuple, mine: tuple) -> None:
-    """Run two independent calls, theirs given as (fn, args, writes) and
-    mine as (fn, args): the helper runs theirs while this process runs
-    mine, when the helper can take it; otherwise this process runs both,
-    theirs first."""
-    fn, args, writes = theirs
-    if helper is None or not helper.takes(args, writes):
-        fn(*args)
-        mine[0](*mine[1])
-        return
-    helper.submit(fn, *args)
-    mine[0](*mine[1])
-    helper.wait()
-
-
-def split(helper: Helper | None, fn: Callable, args: tuple, items, writes: tuple) -> None:
-    """fn(*args, items) with the items shared out: this process runs the
-    first half, rounded up, while the helper runs the rest, which it can
-    start only after a pipe round trip. fn must give the same result for
-    the items in two parts as for all of them at once."""
-    half = (len(items) + 1) // 2
-    if half == len(items) or helper is None or not helper.takes(args, writes):
-        fn(*args, items)
-        return
-    helper.submit(fn, *args, items[half:])
-    fn(*args, items[:half])
-    helper.wait()

@@ -198,13 +198,13 @@ def _draws(h: int, w: int, rng) -> list:
 
 
 class Drawn:
-    """Stands in for the generator in augment(image, drawn): the values
-    augment draws for an (h, w) image, taken from rng now and handed back
-    in the same order, so that the transform can run later, or in another
-    process, exactly as augment(image, rng) would have run it."""
+    """Stands in for a generator: values drawn from one earlier, handed
+    back in the same order, so that augment(image, drawn) or train-mode
+    dropout can run later, or in another process, exactly as with the
+    generator itself."""
 
-    def __init__(self, h: int, w: int, rng: np.random.Generator):
-        self._values = _draws(h, w, rng)
+    def __init__(self, values: list):
+        self._values = list(values)
 
     def _next(self, *_):
         return self._values.pop(0)
@@ -259,8 +259,8 @@ def augment(image: np.ndarray, rng: np.random.Generator | Drawn) -> np.ndarray:
 @dataclass
 class TrainConfig:
     epochs: int = 30
-    # the images of one Adam step; at 244x324 and F=8 a step of 8 lends
-    # about 42 MB from fit's helper arena (model.train_step_bytes)
+    # the images of one Adam step, whose gradient is the sum of its two
+    # halves' (see fit)
     batch_size: int = 8
     learning_rate: float = 0.001
     seed: int = 0
@@ -304,31 +304,67 @@ def predict_labels(model: pm.ParasNetModel, images: np.ndarray) -> np.ndarray:
     return np.argmax(probs, axis=1)
 
 
-def _augment_into(images, batch: np.ndarray, drawn: list[Drawn], out: np.ndarray, items) -> None:
-    for i in items:
-        out[i] = augment(images[batch[i]], drawn[i])
+class _Half:
+    """One half of each training step's batch: its augmentation, its
+    train-mode forward, and later its backward, whose cache it keeps in
+    between. fit runs one in this process, and the other in a forked
+    shards.Helper or, on one CPU, here too: here through the same
+    submit and result calls a Helper takes, each call run at submit."""
+
+    def __init__(self, images, augment: bool):
+        self.images, self.augment = images, augment
+        self.model = self.cache = self._result = None
+
+    def submit(self, method: str, *args) -> None:
+        self._result = getattr(self, method)(*args)
+
+    def result(self):
+        return self._result
+
+    def forward(self, model, batch: np.ndarray, drawn: list[Drawn | None], mask: np.ndarray):
+        """The probabilities of model on images[batch], each image
+        augmented with its draws, and the dropout mask drawn as mask."""
+        x = np.empty((len(batch), *self.images.shape[1:]), self.images.dtype)
+        if self.augment:
+            for i, (k, values) in enumerate(zip(batch, drawn)):
+                x[i] = augment(self.images[k], values)
+        else:
+            x[...] = self.images[batch]
+        probs, _, self.cache = pm.forward_batch(model, x, mode="train", rng=Drawn([mask]),
+                                                want_cache=True)
+        self.model = model
+        return probs
+
+    def backward(self, d_probs: np.ndarray) -> list[np.ndarray]:
+        """The gradients of the last forward's half, in parameters() order."""
+        cache, self.cache = self.cache, None
+        return pm.backward_batch(self.model, cache, d_probs)
 
 
-def _step(model, images, labels, batch, eye, rng, params, state, config, helper) -> float:
-    """One Adam step on images[batch]; returns its mean loss. Every draw
-    comes from rng in a fixed order: each image's augmentation, then the
-    dropout mask. The step first resets the helper's arena: every array
-    the last step lent from it died when that step returned, so this
-    step lends the same bytes again, from the start."""
-    if helper is not None:
-        helper.reset()
-    xb = shards.empty(helper, (len(batch), *images.shape[1:]), images.dtype)
-    if config.augment:
-        drawn = [Drawn(*images.shape[1:3], rng) for _ in batch]
-        items = list(range(len(batch)))
-        shards.split(helper, _augment_into, (images, batch, drawn, xb), items, (xb,))
-    else:
-        xb[...] = images[batch]
-    probs, _, cache = pm.forward_batch(
-        model, xb, mode="train", rng=rng, want_cache=True, helper=helper
-    )
+def _step(model, images, labels, batch, eye, rng, params, state, config, halves) -> float:
+    """One Adam step on images[batch]; returns its mean loss.
+
+    Every draw comes from rng in a fixed order: each image's
+    augmentation, then the dropout mask. The batch's rows [0, ceil(B/2))
+    go to halves[0] and the rest, if any, to halves[1]; the loss and its
+    gradient are the whole batch's, and the step's gradient is the sum of
+    the halves' gradients, in that order, whichever process ran them.
+    """
+    h, w = images.shape[1:3]
+    drawn = [Drawn(_draws(h, w, rng)) if config.augment else None for _ in batch]
+    mask = rng.random((len(batch), pm.HIDDEN_UNITS))
+    cut = -(-len(batch) // 2)
+    parts = [(half, rows) for half, rows in zip(halves, (slice(0, cut), slice(cut, None)))
+             if len(batch[rows])]
+    # the second half starts first: in a helper, it then runs beside the first
+    for half, rows in reversed(parts):
+        half.submit("forward", model, batch[rows], drawn[rows], mask[rows])
+    probs = np.concatenate([half.result() for half, _ in parts])
     loss, d_probs = bce_loss_batch(probs, eye[labels[batch]])
-    grads = pm.backward_batch(model, cache, d_probs, helper)
+    for half, rows in reversed(parts):
+        half.submit("backward", d_probs[rows])
+    grads = [half.result() for half, _ in parts]
+    grads = grads[0] if len(grads) == 1 else [g0 + g1 for g0, g1 in zip(*grads)]
     adam_step(params, grads, state, lr=config.learning_rate, decay=LR_DECAY)
     return loss
 
@@ -347,12 +383,17 @@ def fit(
     One seeded generator drives shuffling, augmentation and dropout, so
     a config seed fixes the whole trajectory.
 
-    Where shards.usable() finds two CPUs, one forked shards.Helper lives
-    for the call and takes half of each step's augmentation, conv and
-    pool work, and the conv kernel gradients beside this process's input
-    gradients. Each block and each sum keeps its bounds and order, so
-    the trained parameters and the history are byte-identical to a
-    one-process run.
+    Each step's gradient is the sum of the gradients of the batch's two
+    halves, rows [0, ceil(B/2)) and the rest, each run through its own
+    forward_batch and backward_batch, while the loss is the whole
+    batch's. Where shards.usable() finds two CPUs, one forked
+    shards.Helper lives for the call and runs the second half of every
+    step, from augmentation to gradients, beside this process running the
+    first; it has the training images from the fork, and each step it is
+    sent the model, its images' indices and draws and its rows of the
+    dropout mask and of the loss gradient. One CPU runs both halves here,
+    with the same calls, so the trained parameters and the history are
+    byte-identical however many CPUs there are.
     """
     n = len(train_images)
     if n == 0:
@@ -368,13 +409,10 @@ def fit(
     state = AdamState.for_params(params)
     eye = np.eye(pm.NUM_CLASSES, dtype=train_images.dtype)
     history: list[EpochStats] = []
+    halves = [_Half(train_images, config.augment) for _ in range(2)]
     helper = None
     if shards.usable() > 1:
-        itemsize = np.result_type(train_images.dtype, model.conv_kernels[0]).itemsize
-        arena = pm.train_step_bytes(
-            model.filters, min(config.batch_size, n), *train_images.shape[1:3], itemsize
-        )
-        helper = shards.Helper(arena, inherited=(train_images,))
+        helper = halves[1] = shards.Helper(halves[1])
 
     try:
         for epoch in range(1, config.epochs + 1):
@@ -385,7 +423,7 @@ def fit(
                 for start in range(0, n, config.batch_size):
                     batch = order[start : start + config.batch_size]
                     loss = _step(model, train_images, train_labels, batch, eye, rng, params,
-                                 state, config, helper)
+                                 state, config, halves)
                     loss_sum += loss * len(batch)
             preds = predict_labels(model, test_images)
             accuracy = float(np.mean(preds == test_labels)) if len(test_labels) else 0.0

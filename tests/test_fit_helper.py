@@ -1,7 +1,8 @@
-"""training.fit with a forked shards.Helper: byte-identical to a
-one-process run at the network's input size, every step's arrays lent
-from the helper's arena, and a helper killed mid-epoch makes fit, and
-`parasnet train`, fail promptly with no child left behind."""
+"""training.fit with a forked shards.Helper running the second half of
+each step's batch: byte-identical to a one-process run at the network's
+input size, the helper taking part in every step with a second half, and
+a helper killed mid-epoch makes fit, and `parasnet train`, fail promptly
+with no child left behind."""
 
 import hashlib
 import os
@@ -19,32 +20,19 @@ from parasnet import training as tr
 
 
 class CountingHelper(shards.Helper):
-    """A Helper that counts the calls this process hands it, and the
-    arrays it lends from its arena and those it had no room for, and
-    records how far each step filled the arena."""
+    """A Helper that counts the training steps it takes part in: the
+    forward calls this process hands it."""
 
     made: list = []
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.calls = self.lent = self.private = 0
-        self.tops: list[int] = []
+        self.steps = 0
         CountingHelper.made.append(self)
 
-    def reset(self):
-        self.tops.append(self._top)
-        super().reset()
-
-    def submit(self, fn, *args):
-        self.calls += 1
-        super().submit(fn, *args)
-
-    def empty(self, shape, dtype):
-        a = super().empty(shape, dtype)
-        if a.size:
-            self.lent += self.holds(a)
-            self.private += not self.holds(a)
-        return a
+    def submit(self, method, *args):
+        self.steps += method == "forward"
+        super().submit(method, *args)
 
 
 def _data(n: int, kind: str, seed: int):
@@ -57,12 +45,12 @@ def _data(n: int, kind: str, seed: int):
     return images[:n], labels[:n], images[n:], labels[n:]
 
 
-def _fit_digests(tmp_path, cpus, count, filters, augment, data):
+def _fit_digests(tmp_path, cpus, count, filters, augment, batch, data):
     """sha256 of every trained parameter and of the history CSV, with
     count usable CPUs."""
     cpus(count)
     model = pm.build_model(filters, seed=4)
-    config = tr.TrainConfig(epochs=2, batch_size=8, seed=6, augment=augment)
+    config = tr.TrainConfig(epochs=2, batch_size=batch, seed=6, augment=augment)
     report = tr.fit(model, *data, config)
     path = tmp_path / f"history-{count}.csv"
     report.to_csv(str(path))
@@ -72,48 +60,29 @@ def _fit_digests(tmp_path, cpus, count, filters, augment, data):
 
 @needs_fork
 class TestSplitStep:
-    # n images at batch 8 leave a last batch of n % 8: one, four or five
-    @pytest.mark.parametrize("filters, augment, n, kind", [
-        (2, True, 9, "stack"),
-        (8, True, 12, "array"),
-        (8, False, 9, "stack"),
-        (2, False, 13, "array"),
+    # n images at batch 8 leave a last batch of n % 8: one, four or five;
+    # at batch 5, 11 images leave one, which has no second half
+    @pytest.mark.parametrize("filters, augment, n, kind, batch", [
+        (2, True, 9, "stack", 8),
+        (8, True, 12, "array", 8),
+        (8, False, 9, "stack", 8),
+        (2, False, 13, "array", 8),
+        (2, True, 11, "stack", 5),
     ])
     def test_bytes_match_a_one_process_fit(
-        self, tmp_path, cpus, monkeypatch, filters, augment, n, kind
+        self, tmp_path, cpus, monkeypatch, filters, augment, n, kind, batch
     ):
         data = _data(n, kind, seed=n + filters)
-        one = _fit_digests(tmp_path, cpus, 1, filters, augment, data)
+        one = _fit_digests(tmp_path, cpus, 1, filters, augment, batch, data)
         monkeypatch.setattr(shards, "Helper", CountingHelper)
         CountingHelper.made = []
-        two = _fit_digests(tmp_path, cpus, 2, filters, augment, data)
+        two = _fit_digests(tmp_path, cpus, 2, filters, augment, batch, data)
         assert two == one
-        # the helper took part of every step of the two epochs
+        # the helper ran the second half of every step of the two epochs
+        # that has one: every batch of two images or more
         (helper,) = CountingHelper.made
-        assert helper.calls >= 2 * -(-n // 8)
-        assert no_children()
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("filters", [1, 2, 8])
-    def test_every_step_fits_in_the_arena(self, cpus, monkeypatch, filters, dtype):
-        # model.train_step_bytes sizes the arena; an array it does not
-        # count would come back private, and its work would run here
-        # alone, while bytes it counts that no step lends would sit idle:
-        # a full batch must fill the arena exactly
-        cpus(2)
-        monkeypatch.setattr(shards, "Helper", CountingHelper)
-        step_bytes = pm.train_step_bytes(filters, 8, INPUT_HEIGHT, INPUT_WIDTH,
-                                         np.dtype(dtype).itemsize)
-        # at batch 8, last batches of one, five and eight images
-        for n in (9, 13, 16):
-            CountingHelper.made = []
-            images, labels, test_images, test_labels = _data(n, "array", seed=n)
-            tr.fit(pm.build_model(filters, seed=0), images.astype(dtype), labels,
-                   test_images.astype(dtype), test_labels, tr.TrainConfig(epochs=1))
-            (helper,) = CountingHelper.made
-            assert helper.lent > 0 and helper.private == 0, (n, helper.lent, helper.private)
-            # the first step, of 8 images, ends at the second reset
-            assert helper.tops[1] == step_bytes == len(helper._arena), (n, helper.tops)
+        sizes = [min(batch, n - start) for start in range(0, n, batch)]
+        assert helper.steps == 2 * sum(size > 1 for size in sizes)
         assert no_children()
 
     def test_a_killed_helper_fails_the_fit_promptly(self, cpus, monkeypatch):

@@ -2,7 +2,7 @@
 calling process, a child's exception re-raised with its type or, when it
 cannot be pickled, as its type name and message, a killed child named by
 its signal, no child left running after a call returns or raises, and
-the Helper's arena and calls."""
+the Helper's calls."""
 
 import os
 import signal
@@ -44,10 +44,6 @@ def _fill(out, value, items):
 
 def _raise_lookup(items):
     raise LookupError(f"items {list(items)}")
-
-
-def _total(a, out):
-    out[0] = a.sum()
 
 
 def _kill_self():
@@ -152,109 +148,60 @@ class TestForked:
         assert shards.map_ranges(usable_here, (), 4) == [(2, 2), (1, 1)]
 
 
+class Target:
+    """A Helper's target: its methods run in the helper."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def total(self):
+        return self.values.sum(), os.getpid()
+
+    def fill(self, out, value, items):
+        _fill(out, value, items)
+        return out
+
+    def fail(self, items):
+        _raise_lookup(items)
+
+    def die(self):
+        _kill_self()
+
+
 @needs_fork
 class TestHelper:
-    def test_lending_starts_at_the_arena_start_after_a_reset(self):
-        with shards.Helper(1 << 16) as helper:
-            a = helper.empty((10, 10), np.float32)
-            b = helper.empty((10,), np.float64)
-            assert helper.holds(a) and helper.holds(b) and helper.holds(a[2:, ::2])
-            assert helper.holds(a[::-1, ::-1])
-            assert not helper.holds(np.empty(4))
-            start = a.__array_interface__["data"][0]
-            # each array starts on the next aligned bytes
-            assert b.__array_interface__["data"][0] == start + shards.aligned(a.nbytes)
-            assert helper.empty((1 << 20,), np.uint8).base is None
-            del a, b
-            helper.reset()
-            c = helper.empty((4,), np.float32)
-            assert c.__array_interface__["data"][0] == start
+    def test_the_helper_holds_its_target_as_it_was_at_the_fork(self):
+        values = np.arange(1 << 19, dtype=np.float64)
+        with shards.Helper(Target(values)) as helper:
+            # a change after the fork stays in this process
+            values[0] = -1.0
+            helper.submit("total")
+            total, pid = helper.result()
+            assert total == np.arange(1 << 19).sum() and pid != os.getpid()
+        assert no_children()
 
-    def test_a_reset_raises_while_a_lent_array_or_a_view_lives(self):
-        with shards.Helper(1 << 16) as helper:
-            a = helper.empty((10, 10), np.float32)
-            with pytest.raises(RuntimeError, match="1 lent arena array"):
-                helper.reset()
-            view = a[2:, ::2].T
-            del a
-            with pytest.raises(RuntimeError, match="still alive"):
-                helper.reset()
-            del view
-            helper.reset()
-            # a private array is not the arena's to take back
-            private = helper.empty((1 << 20,), np.uint8)
-            helper.reset()
-            assert not helper.holds(private)
-
-    def test_lent_arrays_never_overlap(self):
-        # arrays lent, and some dropped, at random between resets, each
-        # filled half by the helper: bytes lent twice would overwrite a
-        # live array's values
-        rng = np.random.default_rng(0)
-        with shards.Helper(1 << 18) as helper:
-            lent = private = 0
-            for _ in range(6):
-                live = {}
-                for k in range(50):
-                    if live and rng.random() < 0.4:
-                        del live[int(rng.choice(list(live)))]
-                    a = helper.empty((int(rng.integers(1, 200)), 8), np.float64)
-                    lent += helper.holds(a)
-                    private += not helper.holds(a)
-                    shards.split(helper, _fill, (a, float(k)), list(range(len(a))), (a,))
-                    live[k] = a
-                    for j, b in live.items():
-                        assert b[:, -1].tolist() == [j + i for i in range(len(b))]
-                del live, a, b
-                helper.reset()
-            # a round's arrays overfill the arena, which lends them again
-            # from its start after each reset
-            assert lent > 6 * 50 // 2 and private > 0
-
-    def test_split_and_beside_write_the_arena(self):
-        with shards.Helper(1 << 16) as helper:
-            out = shards.zeros(helper, (9, 3), np.float64)
-            shards.split(helper, _fill, (out, 1.0), list(range(9)), (out,))
-            assert out[:, 0].tolist() == [1.0 + i for i in range(9)]
-            left, right = shards.zeros(helper, (2,), np.float64), np.zeros(2)
-            shards.beside(helper, (_fill, (left, 5.0, [1]), (left,)),
-                          (_fill, (right, 7.0, [0])))
-            assert left.tolist() == [0.0, 6.0] and right.tolist() == [7.0, 0.0]
-
-    def test_work_the_helper_cannot_write_stays_here(self):
-        with shards.Helper(1 << 16) as helper:
-            private = np.zeros((4, 2))
-            shards.split(helper, _fill, (private, 0.0), list(range(4)), (private,))
-            assert private[:, 0].tolist() == [0.0, 1.0, 2.0, 3.0]
+    def test_calls_are_answered_in_order_with_their_values(self):
+        with shards.Helper(Target(None)) as helper:
+            helper.submit("fill", np.zeros(3), 1.0, [0])
+            helper.submit("fill", np.zeros(3), 5.0, [1, 2])
+            assert helper.result().tolist() == [1.0, 0.0, 0.0]
+            assert helper.result().tolist() == [0.0, 6.0, 7.0]
 
     def test_a_call_error_keeps_its_type_and_the_helper_lives_on(self):
-        with shards.Helper(1 << 16) as helper:
-            helper.submit(_raise_lookup, [1, 2])
+        with shards.Helper(Target(None)) as helper:
+            helper.submit("fail", [1, 2])
             with pytest.raises(LookupError, match=r"items \[1, 2\]"):
-                helper.wait()
-            out = shards.zeros(helper, (2,), np.float64)
-            helper.submit(_fill, out, 3.0, [1])
-            helper.wait()
-            assert out.tolist() == [0.0, 4.0]
+                helper.result()
+            helper.submit("fill", np.zeros(2), 3.0, [1])
+            assert helper.result().tolist() == [0.0, 4.0]
         assert no_children()
 
     def test_a_killed_helper_raises_naming_the_signal(self):
-        with shards.Helper(1 << 16) as helper:
-            helper.submit(_kill_self)
+        with shards.Helper(Target(None)) as helper:
+            helper.submit("die")
             with pytest.raises(ChildProcessError, match="killed by SIGKILL"):
-                helper.wait()
+                helper.result()
         assert no_children()
-
-    def test_inherited_objects_go_by_reference(self):
-        big = np.arange(1 << 19, dtype=np.float64)
-        assert big.nbytes > shards.SEND_LIMIT
-        with shards.Helper(1 << 16, inherited=(big,)) as helper:
-            out = shards.zeros(helper, (1,), np.float64)
-            assert helper.takes((big, out), (out,))
-            assert not helper.takes((big.copy(), out), (out,))
-            helper.submit(_total, big, out)
-            helper.wait()
-            assert out[0] == big.sum()
 
 
 def test_forked_tests_run_in_a_single_threaded_process():

@@ -293,6 +293,68 @@ class TestFit:
             )
 
 
+class _MaskRows:
+    """Stands in for the generator of one train-mode forward: hands back
+    its rows of a dropout draw made for the whole batch."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def random(self, shape):
+        assert shape == self.rows.shape
+        return self.rows
+
+
+def _half_batch_step(model, images, labels, config):
+    """One fit step over the whole of images, done the long way: every
+    draw from one generator in fit's order (the permutation, each image's
+    augmentation, the dropout mask), each half of the batch through its
+    own forward_batch and backward_batch, the whole batch's loss, and the
+    halves' gradients added in order before one Adam step. Returns the
+    loss."""
+    rng = np.random.default_rng(config.seed)
+    batch = rng.permutation(len(images))
+    x = np.stack([tr.augment(images[k], rng) for k in batch])
+    mask = rng.random((len(batch), pm.HIDDEN_UNITS))
+    cut = (len(batch) + 1) // 2
+    halves = [rows for rows in (slice(0, cut), slice(cut, len(batch))) if rows.stop > rows.start]
+    probs, caches = [], []
+    for rows in halves:
+        p, _, cache = pm.forward_batch(model, x[rows], mode="train", rng=_MaskRows(mask[rows]),
+                                       want_cache=True)
+        probs.append(p)
+        caches.append(cache)
+    eye = np.eye(pm.NUM_CLASSES, dtype=images.dtype)
+    loss, d_probs = tr.bce_loss_batch(np.concatenate(probs), eye[labels[batch]])
+    grads = [pm.backward_batch(model, cache, d_probs[rows]) for rows, cache in zip(halves, caches)]
+    if len(grads) == 2:
+        grads = [g0 + g1 for g0, g1 in zip(*grads)]
+    else:
+        grads = grads[0]
+    params = pm.parameters(model)
+    tr.adam_step(params, grads, tr.AdamState.for_params(params), lr=config.learning_rate,
+                 decay=tr.LR_DECAY)
+    return loss
+
+
+class TestHalfBatchStep:
+    # halves of 4 and 4, of 3 and 2, and of 1 and none
+    @pytest.mark.parametrize("b", [8, 5, 1])
+    def test_one_fit_step_matches_the_half_batch_reference(self, cpus, b):
+        cpus(1)
+        rng = np.random.default_rng(30 + b)
+        images = rng.random((b, 94, 94, 1), dtype=np.float32)
+        labels = np.arange(b) % pm.NUM_CLASSES
+        config = tr.TrainConfig(epochs=1, batch_size=b, seed=b)
+        fitted = pm.build_model(2, seed=1, height=94, width=94)
+        report = tr.fit(fitted, images, labels, images[:1], labels[:1], config)
+        reference = pm.build_model(2, seed=1, height=94, width=94)
+        loss = _half_batch_step(reference, images, labels, config)
+        assert report.history[0].train_loss == loss * b / b
+        for got, want in zip(pm.parameters(fitted), pm.parameters(reference), strict=True):
+            assert got.tobytes() == want.tobytes()
+
+
 class TestLossGradientChain:
     def test_loss_gradient_through_network_matches_finite_differences(self):
         m = pm.build_model(2, seed=13, dtype=np.float64, height=94, width=94)
