@@ -22,7 +22,7 @@ At the unused positions the output holds values that nothing may read,
 and the upstream gradient must be exactly zero there: pooling reads only
 the valid region, and maxpool_backward writes zeros around it.
 
-The first layer has one input channel, where nine K=1 products would be
+A one-channel input, the first layer's, would make nine K=1 products,
 bound by copying. It gathers a tap-major (9, columns) window matrix
 instead, each row a contiguous slice of the input, for one K=9 GEMM;
 its backward gathers the same matrix for d_kernels.
@@ -35,26 +35,35 @@ nine products over whole matrices.
 
 Both paths pool before the ReLU, on the pre-activation conv output, and
 rectify the 4x smaller pooled map; ReLU is monotone, so this equals
-pooling the rectified map. Training keeps no record of the pooling
-winners: maxpool_backward recomputes them from the conv output and the
-pooled map, trading a few comparisons for the stored index map. It
-writes the gradient over the conv output it compares, cell by cell,
-since backward reads that output nowhere else: a training step then
-holds one full-size map per stage, not two. Each pooling pass runs
-along image rows, w/2 elements at a time.
+pooling the rectified map. From stage 2 on, training keeps no record of
+the pooling winners: maxpool_backward recomputes them from the conv
+output and the pooled map, trading a few comparisons for the stored
+index map. It writes the gradient over the conv output it compares,
+cell by cell, since backward reads that output nowhere else: a training
+step then holds one full-size map per stage, not two. Each pooling pass
+runs along image rows, w/2 elements at a time.
 
-Inference runs stages 1 and 2 as one fused kernel, conv_pool_relu. It
-splits each image of the stage input into its four 2x2 polyphase
-components (space-to-depth: phase 2p + q holds pixels (2i + p, 2j + q)
-at (i, j)), each a (c, hp*wp) matrix on a half-size grid of hp x wp =
-ceil(h/2) x ceil(w/2), zero-padded. The conv output at (2i + di,
-2j + dj), one of the four cells of pool window (i, j), is then a sum of
-nine tap products on column slices of the phase matrices, as in
+Inference runs stages 1 and 2, and training stage 1, as one fused
+kernel, conv_pool_relu. It splits each image of the stage input into its
+four 2x2 polyphase components (space-to-depth: phase 2p + q holds pixels
+(2i + p, 2j + q) at (i, j)), each a (c, hp*wp) matrix on a half-size
+grid of hp x wp = ceil(h/2) x ceil(w/2), zero-padded. The conv output at
+(2i + di, 2j + dj), one of the four cells of pool window (i, j), is then
+a sum of nine tap products on column slices of the phase matrices, as in
 conv_forward but at (i, j) of the half-size grid. Block by block, the
 kernel sums each output phase in conv_forward's tap order, keeps the max
 of the four, adds the bias and rectifies: no full-size conv output is
-written, and no pooling pass reads one through stride-2 views. Training
-keeps the layered kernels, whose outputs backward needs.
+written, and no pooling pass reads one through stride-2 views.
+
+For training, conv_pool_relu also records each window's winner, one
+uint8 per pooled value: stage 1's is the largest map of a training step,
+and backward then needs neither it nor stride-2 comparisons over it.
+conv_pool_relu_backward rebuilds, a run of rows at a time, the gradient
+map maxpool_backward would have written, for conv_backward's GEMMs over
+the same column blocks: where the fused and layered forwards agree, so
+do the gradients' bytes, and no full-size map is written. Training's
+stages 2 to 5, whose maps are 4x smaller or more, keep the layered
+kernels.
 
 Every kernel but maxpool_backward, which writes over its conv output
 map, allocates its outputs fresh, and none keeps state between calls,
@@ -129,6 +138,16 @@ def _tap_sum(taps, reads, a, e, out) -> None:
         out += taps[t].T @ m[:, s + a:s + e]
 
 
+def _tap_grads(reads, a, e, u) -> np.ndarray:
+    """The (9, c_in, f) d_kernels term of output columns a..e, whose
+    upstream gradient is the (f, e-a) matrix u; tap t reads the input
+    matrix reads[t][0] shifted by reads[t][1] columns. A one-channel
+    input takes one K=9 window product, as _tap_sum does."""
+    if reads[0][0].shape[0] == 1:
+        return (_windows(reads, a, e) @ u.T)[:, None]
+    return np.stack([m[:, s + a:s + e] @ u.T for m, s in reads])
+
+
 def conv_forward(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Valid 3x3 convolution over a batch. Returns a fresh channel-major
     (batch, h, w, filters) map on x's grid, whose valid output is
@@ -153,13 +172,11 @@ def conv_backward(
     x: np.ndarray,
     kernels: np.ndarray,
     upstream: np.ndarray,
-    need_input_grad: bool = True,
 ):
-    """Gradients of conv_forward; x is the layer's input, of shape x_shape,
-    and upstream the output's gradient on x's grid, zero outside its valid
-    region. d_input, channel-major, is skipped (None) for the first layer
-    of a network. d_kernels is the sum, in block order, of one term per
-    column block."""
+    """Gradients (d_input, d_kernels, d_bias) of conv_forward; x is the
+    layer's input, of shape x_shape, and upstream the output's gradient
+    on x's grid, zero outside its valid region. d_input is channel-major.
+    d_kernels is the sum, in block order, of one term per column block."""
     b, h, w, c_in = x_shape
     taps = kernels.reshape(9, c_in, -1)
     shifts = _shifts(w)
@@ -167,25 +184,19 @@ def conv_backward(
     up = _matrix(upstream)
     n = xm.shape[1] - shifts[-1]
     blocks = _blocks(n, max(taps.shape[1:]))
+    reads = [(xm, s) for s in shifts]
 
     d_taps = np.zeros(taps.shape, np.result_type(x, upstream))
     for a, e in blocks:
+        d_taps += _tap_grads(reads, a, e, up[:, a:e])
+    # each tap scattered back onto the input columns it read, block by
+    # block and tap by tap
+    dm = np.zeros(xm.shape, upstream.dtype)
+    for a, e in blocks:
         u = up[:, a:e]
-        if c_in == 1:
-            d_taps += (_windows([(xm, s) for s in shifts], a, e) @ u.T)[:, None]
-        else:
-            d_taps += np.stack([xm[:, s + a:s + e] @ u.T for s in shifts])
-    d_input = None
-    if need_input_grad:
-        # each tap scattered back onto the input columns it read, block by
-        # block and tap by tap
-        dm = np.zeros(xm.shape, upstream.dtype)
-        for a, e in blocks:
-            u = up[:, a:e]
-            for t, s in enumerate(shifts):
-                dm[:, s + a:s + e] += taps[t] @ u
-        d_input = _as_map(dm, b, h, w)
-    return d_input, d_taps.reshape(kernels.shape), up.sum(axis=1)
+        for t, s in enumerate(shifts):
+            dm[:, s + a:s + e] += taps[t] @ u
+    return _as_map(dm, b, h, w), d_taps.reshape(kernels.shape), up.sum(axis=1)
 
 
 def _pool_cells(planes: np.ndarray):
@@ -238,10 +249,17 @@ def _phases(image: np.ndarray, out: np.ndarray) -> None:
             dst[:, :, part.shape[2]:] = 0
 
 
-def conv_pool_relu(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """relu(maxpool_infer(conv_forward(x, kernels, bias)'s valid region)),
-    for inference, as one fresh channel-major (batch, (h-2)//2, (w-2)//2,
-    filters) map.
+def conv_pool_relu(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray, record: bool = False):
+    """relu(maxpool_infer(conv_forward(x, kernels, bias)'s valid region))
+    as one fresh channel-major (batch, (h-2)//2, (w-2)//2, filters) map.
+
+    With record, training's stage 1, it returns that map and a record of
+    the pooling winners, a fresh channel-major uint8 map of the same
+    shape: for each window, the index 0..3 of the first cell, in
+    row-major window order, whose biased sum is the window's max, the
+    cell maxpool_backward sends the gradient to, or 4 where the max is
+    not positive and the ReLU passes no gradient.
+    conv_pool_relu_backward takes it.
 
     It runs one image at a time, so an image's values do not depend on
     the batch around it, and the working set is one image's: over a whole
@@ -254,6 +272,8 @@ def conv_pool_relu(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.n
     monotone, so max(u) + b equals max(u + b) bit for bit, and each value
     equals the layered kernels' wherever a GEMM's elements do not depend
     on their column: with OpenBLAS's SkylakeX kernel, not its Haswell one.
+    Without record, the bias is added once, to each window's max; with
+    it, to each phase sum, since two sums can tie only once it is added.
     """
     b, h, w, c_in = x.shape
     taps = kernels.reshape(9, c_in, -1)
@@ -280,19 +300,136 @@ def conv_pool_relu(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.n
     ]
     grid[:, n:] = 0
     out = np.empty((f, b, (h - 2) // 2, (w - 2) // 2), grid.dtype)
+    if record:
+        # an image's grid of winners so far, and a block's flags and scratch
+        won = np.empty((f, cols), np.uint8)
+        flags = np.empty((f, s), bool)
+        scratch = np.empty((f, s), np.uint8)
+        winners = np.empty(out.shape, np.uint8)
     for i in range(b):
         _phases(x[i], phases.reshape(4, c_in, hp, wp))
         for a in range(0, n, _STAGE_COLUMNS):
             e = min(a + _STAGE_COLUMNS, n)
             block, other = grid[:, a:e], phase_sum[:, :e - a]
             _tap_sum(taps, reads[0], a, e, block)
-            for phase_reads in reads[1:]:
+            if record:
+                block += bias[:, None]
+                won_block, flag, spare = won[:, a:e], flags[:, :e - a], scratch[:, :e - a]
+                won_block[...] = 0
+            for k, phase_reads in enumerate(reads[1:], 1):
                 _tap_sum(taps, phase_reads, a, e, other)
+                if record:
+                    other += bias[:, None]
+                    # the first max wins: a later phase only where it is
+                    # strictly greater
+                    _mark(won_block, np.greater(other, block, out=flag), k, spare)
                 np.maximum(block, other, out=block)
-            block += bias[:, None]
+            if record:
+                _mark(won_block, np.less_equal(block, 0, out=flag), 4, spare)
+            else:
+                block += bias[:, None]
             np.maximum(block, 0, out=block)
         out[:, i] = grid.reshape(f, hp, wp)[:, :out.shape[2], :out.shape[3]]
+        if record:
+            winners[:, i] = won.reshape(f, hp, wp)[:, :out.shape[2], :out.shape[3]]
+    if record:
+        return _as_map(out, b, *out.shape[2:]), _as_map(winners, b, *out.shape[2:])
     return _as_map(out, b, *out.shape[2:])
+
+
+def _mark(won: np.ndarray, flag: np.ndarray, k: int, spare: np.ndarray) -> None:
+    """Set won, whose values are all below k, to k where flag is set;
+    spare is a uint8 array of won's shape to work in."""
+    np.multiply(flag, k, out=spare, dtype=np.uint8)
+    np.maximum(won, spare, out=won)
+
+
+def _unpool_rows(dest: np.ndarray, winners: np.ndarray, upstream: np.ndarray) -> None:
+    """Write upstream, a (planes, p, q) pooled gradient, into the cells
+    of the (planes, >= 2p, >= 2q) map dest that winners, conv_pool_relu's
+    record, names: row 2p + di of dest holds the cells (di, 0) and
+    (di, 1) of pooled row p. Every other cell of the 2p x 2q region gets
+    a zero, of either sign; nothing outside it is written."""
+    p, q = winners.shape[1:]
+    hit = np.empty(winners.shape, bool)
+    for k, cell in enumerate(_pool_cells(dest[:, :2 * p, :2 * q])):
+        np.equal(winners, k, out=hit)
+        np.multiply(upstream, hit, out=cell)
+
+
+def conv_pool_relu_backward(x: np.ndarray, kernels: np.ndarray, winners: np.ndarray,
+                            upstream: np.ndarray):
+    """Gradients (d_kernels, d_bias) of conv_pool_relu(x, kernels, bias,
+    record=True) on a one-channel x, from winners, its record, and
+    upstream, its output's gradient. A first stage needs no d_input.
+
+    Byte for byte, they are what maxpool_backward and then conv_backward
+    return from the layered stage's conv output, wherever the two paths'
+    pooled maps agree, yet no map of the conv output's size is written.
+    The gradient map maxpool_backward would write is rebuilt a run of
+    whole rows at a time. d_kernels adds conv_backward's window products
+    over the same column blocks of that map, in the same order. d_bias
+    sums each filter's row of it, rebuilt alone at its full length,
+    since numpy's pairwise row sum depends on the row's length.
+
+    The rebuilt map has maxpool_backward's values, but a zero of either
+    sign where it may have +0, and no result can tell: adding a zero to
+    a nonzero sum leaves it as it was, d_kernels' block sums are added
+    to a +0 start, and every row sum has +0 terms, from the rows below
+    each image's windows, so a zero sum comes out +0 either way.
+    """
+    b, h, w, _ = x.shape
+    f = kernels.shape[3]
+    ph = winners.shape[1]
+    winners, upstream = (m.transpose(3, 0, 1, 2) for m in (winners, upstream))
+    shifts = _shifts(w)
+    xm = _matrix(x)
+    reads = [(xm, s) for s in shifts]
+    n = xm.shape[1] - shifts[-1]
+    blocks = _blocks(n, f)
+    dtype = np.result_type(x, kernels, upstream)
+
+    def fill(run, start):
+        # rows start.. of the (f, b*h, w) map into run, as many as it
+        # holds but never one of the two a pooled row covers without the
+        # other; returns the row after the last
+        stop = min(start + run.shape[1], b * h)
+        if stop < b * h:
+            stop = pair_start(stop)
+        for i in range(start // h, -(-stop // h)):
+            lo, hi = max(start - i * h, 0), min(stop - i * h, h)
+            p0, p1 = min(lo, 2 * ph) // 2, min(hi, 2 * ph) // 2
+            dest = run[:, i * h + lo - start:i * h + hi - start]
+            _unpool_rows(dest, winners[:, i, p0:p1], upstream[:, i, p0:p1])
+            dest[:, 2 * (p1 - p0):] = 0
+        return stop
+
+    def pair_start(row):
+        # row, or the row before it if it is the second of a pair
+        local = row % h
+        return row - 1 if local % 2 and local < 2 * ph else row
+
+    # a run of rows covers about four blocks, and a block, begun on the
+    # row pair it starts in, always fits in one; the columns right of
+    # the windows stay zero
+    span = -(-blocks[0][1] // w)
+    run = np.zeros((f, 4 * span + 4, w), dtype)
+    d_taps = np.zeros((9, 1, f), dtype)
+    start = stop = 0
+    for a, e in blocks:
+        if e > stop * w:
+            start = pair_start(a // w)
+            stop = fill(run, start)
+        u = run.reshape(f, -1)[:, a - start * w:e - start * w]
+        d_taps += _tap_grads(reads, a, e, u)
+
+    # the rows and columns outside the windows stay zero
+    row = np.zeros((b, h, w), dtype)
+    d_bias = np.empty(f, dtype)
+    for c in range(f):
+        _unpool_rows(row, winners[c], upstream[c])
+        d_bias[c] = row.sum()
+    return d_taps.reshape(kernels.shape), d_bias
 
 
 def maxpool_backward(

@@ -17,8 +17,9 @@ from . import INPUT_HEIGHT, INPUT_WIDTH, NUM_CLASSES, batched, container, shards
 HIDDEN_UNITS = 128
 DROPOUT_RATE = 0.5
 
-# inference runs stages 1 and 2 as batched.conv_pool_relu; stage 3 ran
-# slower fused, 0.27 against 0.16 ms an image at B = 8 and F = 8
+# inference runs stages 1 and 2 as batched.conv_pool_relu, training only
+# stage 1; stage 3 ran slower fused, 0.27 against 0.16 ms an image at
+# B = 8 and F = 8
 FUSED_STAGES = 2
 
 # forward_images' images per forward_batch call: 300 images at F = 8 ran
@@ -63,17 +64,23 @@ class ParasNetModel:
 class ForwardCache:
     """Everything the backward pass needs, captured during forward.
 
-    backward_batch consumes the cache: it writes each stage's gradient
-    over that stage's conv output, so a second backward_batch on the same
-    cache raises ValueError, and conv_pre holds gradients once it ran.
+    backward_batch consumes the cache: from stage 2 on, it writes each
+    stage's gradient over that stage's conv output and then drops it from
+    conv_grid, so a second backward_batch on the same cache raises
+    ValueError.
     """
 
     # per stage: the conv input (the batch, then the rectified pooled maps)
     inputs: list[np.ndarray]
-    # per stage: the conv output before ReLU on its input's grid, as
-    # batched.conv_forward returns it, and relu(maxpool(conv_pre)), from
-    # which backward recomputes the pooling winners
+    # stage 1 keeps no conv output, only batched.conv_pool_relu's record:
+    # per value of pooled[0], the index 0..3 of the window cell its
+    # gradient goes to, or 4 where the ReLU passes none
+    winners: np.ndarray
+    # per stage from 2 on: the conv output before ReLU on its input's
+    # grid, as batched.conv_forward returns it, from which backward
+    # recomputes the pooling winners
     conv_grid: list[np.ndarray]
+    # per stage: relu(maxpool(conv output))
     pooled: list[np.ndarray]
     flat: np.ndarray
     dense1_pre: np.ndarray
@@ -84,7 +91,8 @@ class ForwardCache:
 
     @property
     def conv_pre(self) -> list[np.ndarray]:
-        """Per stage, the valid region of the conv output (see batched.py)."""
+        """Per stage from 2 on, the valid region of the conv output (see
+        batched.py)."""
         return [g[:, :-2, :-2] for g in self.conv_grid]
 
 
@@ -259,10 +267,10 @@ def forward_batch(
     (B, 128) post-ReLU representation. With want_cache=True a third
     element carries intermediates for backward_batch.
 
-    Without want_cache, stages 1 to FUSED_STAGES run as one
-    batched.conv_pool_relu each, and the dense head takes one image at
-    a time, so that no image's head outputs depend on the batch around
-    it.
+    Stage 1 runs as one batched.conv_pool_relu, which with want_cache
+    also records its pooling winners. Without want_cache, stages 2 to
+    FUSED_STAGES run fused too, and the dense head takes one image at a
+    time, so that no image's head outputs depend on the batch around it.
     """
     if x.ndim != 4 or x.shape[3] != 1:
         raise ValueError(f"expected input of shape (B, h, w, 1), got {x.shape}")
@@ -275,17 +283,18 @@ def forward_batch(
     # with one channel, x is already a channel-major map
     h = x
     for stage, (k, b) in enumerate(zip(model.conv_kernels, model.conv_biases)):
-        if not want_cache and stage < FUSED_STAGES:
+        if stage == 0 and want_cache:
+            h, winners = batched.conv_pool_relu(h, k, b, record=True)
+        elif stage < FUSED_STAGES and not want_cache:
             h = batched.conv_pool_relu(h, k, b)
-            continue
-        g = batched.conv_forward(h, k, b)
-        # pool, then ReLU on the 4x smaller map: ReLU is monotone, so
-        # both orders give exactly the same values
-        h = pool(g[:, : h.shape[1] - 2, : h.shape[2] - 2])
-        np.maximum(h, 0, out=h)
-        if want_cache:
+        else:
+            g = batched.conv_forward(h, k, b)
+            # pool, then ReLU on the 4x smaller map: ReLU is monotone, so
+            # both orders give exactly the same values
+            h = pool(g[:, : h.shape[1] - 2, : h.shape[2] - 2])
+            np.maximum(h, 0, out=h)
             conv_grid.append(g)
-            pooled.append(h)
+        pooled.append(h)
     # the (batch, h, w, c) view flattens in NHWC order, as the dense
     # weights expect
     flat = h.reshape(h.shape[0], -1)
@@ -303,6 +312,7 @@ def forward_batch(
     dense1_pre, hidden, dropped, mask, probs = _head(model, flat, mode, rng, dropout_rate)
     cache = ForwardCache(
         inputs=[x, *pooled[:-1]],
+        winners=winners,
         conv_grid=conv_grid,
         pooled=pooled,
         flat=flat,
@@ -322,9 +332,9 @@ def backward_batch(
     """Gradients with respect to every parameter, in parameters() order.
 
     d_probs is the loss gradient with respect to the softmax output,
-    already carrying any 1/batch scaling the loss applies. The cache's
-    conv outputs end up holding their gradients, so a consumed cache
-    raises ValueError rather than pass gradients off as activations.
+    already carrying any 1/batch scaling the loss applies. It writes
+    gradients over the cache's conv outputs and drops them, so a consumed
+    cache raises ValueError rather than pass gradients off as activations.
     """
     if cache.consumed:
         raise ValueError(
@@ -346,17 +356,19 @@ def backward_batch(
     )
     grads: list[np.ndarray] = [d_w1, d_b1, d_w2, d_b2]
     d_pool = d_flat.reshape(cache.pooled[-1].shape)
-    conv_pre = cache.conv_pre
-    for i in range(4, -1, -1):
+    for i in range(4, 0, -1):
         x = cache.inputs[i]
-        d_conv = batched.maxpool_backward(
-            conv_pre[i].shape, cache.conv_grid[i], cache.pooled[i], d_pool
-        )
+        # the conv output's last use, as its gradient: popped from the
+        # cache, it is freed before stage 1's backward runs
+        valid = cache.conv_pre[-1].shape
         d_pool, d_kernels, d_bias = batched.conv_backward(
-            x.shape, x, model.conv_kernels[i], d_conv, need_input_grad=(i > 0)
+            x.shape, x, model.conv_kernels[i],
+            batched.maxpool_backward(valid, cache.conv_grid.pop(), cache.pooled[i], d_pool),
         )
-        grads.insert(0, d_bias)
-        grads.insert(0, d_kernels)
+        grads[:0] = [d_kernels, d_bias]
+    grads[:0] = batched.conv_pool_relu_backward(
+        cache.inputs[0], model.conv_kernels[0], cache.winners, d_pool
+    )
     return grads
 
 

@@ -41,9 +41,7 @@ import ctypes
 import mmap
 import os
 import pickle
-import select
 import signal
-import time
 import struct
 from typing import Callable
 
@@ -53,13 +51,6 @@ import numpy as np
 # 244x324, starting and joining two forked workers cost as much as about
 # 6 images each of serial inference, and 16 each ran x1.1-1.2
 MIN_IMAGES_PER_SHARD = 16
-
-# a Helper polls its pipe this many seconds after each call before it
-# sleeps on it: on a 2-CPU KVM guest a call reached a busy helper in
-# 36-40 us and one that had slept 2 ms in 137-145 us (medians); with a
-# call per kernel, about 15 a step, polling made fit epochs 4-13% faster
-# in 4 interleaved rounds
-HELPER_SPIN = 0.003
 
 # set in every forked child, so that a child never forks
 _forked = False
@@ -113,12 +104,8 @@ def _read(fd: int, size: int) -> bytes | None:
     return b"".join(chunks)
 
 
-def _receive(fd: int, spin: float = 0.0) -> bytes | None:
-    """The next message on fd, or None at end of file. With spin, poll fd
-    for up to that many seconds before sleeping on it."""
-    end = time.perf_counter() + spin
-    while time.perf_counter() < end and not select.select([fd], [], [], 0)[0]:
-        pass
+def _receive(fd: int) -> bytes | None:
+    """The next message on fd, or None at end of file."""
     header = _read(fd, _LENGTH.size)
     return None if header is None else _read(fd, _LENGTH.unpack(header)[0])
 
@@ -291,7 +278,7 @@ def _serve(target, inbox: int, outbox: int) -> None:
     # 128 KB afresh by default, and this process, which has freed none
     # yet, would fault on every page of every one
     _glibc("mallopt", _M_MMAP_THRESHOLD, 32 << 20)
-    while (message := _receive(inbox, HELPER_SPIN)) is not None:
+    while (message := _receive(inbox)) is not None:
         try:
             name, args = pickle.loads(message)
             answer = _answer(getattr(target, name)(*args))
@@ -353,11 +340,13 @@ def apart(helper: Helper | None):
 
     The helper is pinned to one usable CPU for its life; this process
     keeps the others only inside the block, so that work outside it,
-    such as map_ranges, still sees every usable CPU. Unpinned, the two
-    often ran on one CPU, as if Linux woke the helper where the pipe's
-    writer ran: on a 2-CPU KVM guest, layer 1's pool forward, split
-    between the two, took 5.1-7.2 ms unpinned, like its 3.6-9.1 ms
-    serially, and 3.2-4.5 ms pinned."""
+    such as map_ranges, still sees every usable CPU. A training step
+    hands the helper two calls, its half's forward and backward: on a
+    2-CPU KVM guest, in 4 interleaved rounds of three 1-epoch fits of
+    96 images, a step took 57.8 ms (median) with this process kept off
+    the helper's CPU, against 63.8 ms with the helper alone pinned and
+    62.2 ms with neither, and it was the faster in 4 and 3 of the 4
+    rounds."""
     if helper is None or helper._cpu is None:
         yield
         return

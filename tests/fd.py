@@ -48,10 +48,14 @@ def kink_pattern(cache) -> tuple:
     """The ReLU and pooling decisions of a cached forward pass, as bytes.
 
     A perturbation that changes the pattern crosses a kink of the loss,
-    where a finite difference is meaningless. The pooling decision is
-    the winner of each window of the rectified conv output.
+    where a finite difference is meaningless. From stage 2 on, the
+    pooling decision is the winner of each window of the rectified conv
+    output; stage 1 keeps no conv output, and its decisions are its
+    winner record and the ReLU of its pooled map.
     """
     return (
+        cache.winners.tobytes(),
+        (cache.pooled[0] > 0).tobytes(),
         tuple((a > 0).tobytes() for a in cache.conv_pre),
         tuple(_pool_winners(np.maximum(a, 0)).tobytes() for a in cache.conv_pre),
         (cache.dense1_pre > 0).tobytes(),

@@ -97,14 +97,20 @@ def test_c02_shape_trace():
     image = np.random.default_rng(0).random((1, 244, 324, 1), dtype=np.float32)
     probs, hidden, cache = pm.forward_batch(net, image, want_cache=True)
 
+    # stage 1 runs fused and keeps no conv output: trace it through the
+    # single-image reference layer; the cache holds the other stages'
+    conv_outputs = [
+        ops.conv2d_valid(image[0], net.conv_kernels[0], net.conv_biases[0])[None],
+        *cache.conv_pre,
+    ]
     traced = []
     for stage in range(5):
-        traced.append(tuple(cache.conv_pre[stage].shape[1:]))
+        traced.append(tuple(conv_outputs[stage].shape[1:]))
         if stage < 4:
             # pooled maps are the next stage's input
             traced.append(tuple(cache.inputs[stage + 1].shape[1:]))
     # the cache flattens the last pooled map, so recompute its shape
-    traced.append(ops.maxpool_2x2(cache.conv_pre[4][0]).shape)
+    traced.append(ops.maxpool_2x2(cache.conv_pre[3][0]).shape)
     traced.append(tuple(hidden.shape[1:]))
     traced.append(tuple(probs.shape[1:]))
     elapsed = time.perf_counter() - started

@@ -262,10 +262,10 @@ class TestChannelMajorLayout:
 
         monkeypatch.setattr(batched, "conv_forward", poisoning)
         dirty = run()
-        # five training layers and inference's layers 3-5: inference runs
-        # layers 1 and 2 as batched.conv_pool_relu, whose reads
-        # test_conv_pool_relu.py checks
-        assert len(poisoned) == 8
+        # training's layers 2-5 and inference's layers 3-5: training runs
+        # layer 1, and inference layers 1 and 2, as batched.conv_pool_relu,
+        # whose reads test_conv_pool_relu.py checks
+        assert len(poisoned) == 7
         for got, want in zip(dirty, clean, strict=True):
             assert got.tobytes() == want.tobytes()
 

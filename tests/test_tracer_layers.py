@@ -50,15 +50,15 @@ def test_every_kernel_span_has_its_layer_and_batch():
         "batched.maxpool_backward": (2,),
         "batched.maxpool_infer": (1,),
     }
-    # the B=1 inference forward runs layers 1 and 2 as one untraced
-    # batched.conv_pool_relu each
-    fused = {("batched.conv_forward", 1), ("batched.maxpool_infer", 1)}
+    # the B=1 inference forward runs layers 1 and 2, and the B=2 training
+    # pass layer 1, as one untraced batched.conv_pool_relu each, and
+    # training's layer-1 backward is one untraced conv_pool_relu_backward
+    inference = {("batched.conv_forward", 1), ("batched.maxpool_infer", 1)}
     expected = [
         (name, layer, batch)
         for name, batches in by_kernel.items()
         for batch in batches
-        for layer in range(1, 6)
-        if layer > 2 or (name, batch) not in fused
+        for layer in range(3 if (name, batch) in inference else 2, 6)
     ]
     assert sorted(spans) == sorted(expected)
 
